@@ -90,16 +90,28 @@ void CongestionGame::compute_parameters() {
   for (const auto& fn : latencies_) {
     lmin_ = std::min(lmin_, fn->value(1.0));
   }
+}
 
-  beta_ = 0.0;
+double CongestionGame::compute_beta_slope() const {
+  const std::lock_guard<std::mutex> lock(beta_.mutex);
+  double beta = beta_.value.load(std::memory_order_relaxed);
+  if (beta >= 0.0) return beta;  // another caller got here first
+  // One x = 1..n scan per resource that some strategy uses, shared by all
+  // of its strategies; then the sums and the max in strategy order.
+  std::vector<double> slope(latencies_.size(), 0.0);
+  for (std::size_t e = 0; e < latencies_.size(); ++e) {
+    if (!users_[e].empty()) {
+      slope[e] = max_step_slope(*latencies_[e], num_players_);
+    }
+  }
+  beta = 0.0;
   for (const auto& st : strategies_) {
     double acc = 0.0;
-    for (Resource e : st) {
-      acc += max_step_slope(*latencies_[static_cast<std::size_t>(e)],
-                            num_players_);
-    }
-    beta_ = std::max(beta_, acc);
+    for (Resource e : st) acc += slope[static_cast<std::size_t>(e)];
+    beta = std::max(beta, acc);
   }
+  beta_.value.store(beta, std::memory_order_release);
+  return beta;
 }
 
 const Strategy& CongestionGame::strategy(StrategyId p) const {

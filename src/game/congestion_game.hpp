@@ -10,9 +10,12 @@
 // The protocol parameters derived from the latency functions — the
 // elasticity bound d (≥ 1, as the damping factor 1/d must not amplify) and
 // the slope bound ν = max_P Σ_{e∈P} ν_e — are computed once at construction.
+// β, whose cost grows with n, is computed on first use (see beta_slope()).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -83,7 +86,20 @@ class CongestionGame {
   double min_nonempty_latency() const noexcept { return lmin_; }
 
   /// β ≥ max_P max-step slope of ℓ_P over loads 1..n (EXPLORATION damping).
-  double beta_slope() const noexcept { return beta_; }
+  ///
+  /// Lazy: computed on the first call, not at construction, since it costs
+  /// an x = 1..n scan per resource and only the exploration and combined
+  /// protocols read it. Each resource's scan runs once, however many
+  /// strategies contain it; the per-strategy sums and the max over
+  /// strategies keep strategy and resource order, so the value is the same
+  /// bits an eager per-incidence loop gives. Thread-safe: instances are
+  /// shared read-only across trial threads, concurrent first callers
+  /// serialise on a mutex, and every later call is one acquire load.
+  /// Copies and moves carry the computed value (or its absence) along.
+  double beta_slope() const {
+    const double beta = beta_.value.load(std::memory_order_acquire);
+    return beta < 0.0 ? compute_beta_slope() : beta;
+  }
 
   // ---- State-dependent quantities ----
 
@@ -116,6 +132,24 @@ class CongestionGame {
  private:
   void validate() const;
   void compute_parameters();
+  double compute_beta_slope() const;
+
+  // β's cache. A negative value means "not computed yet": β itself is a
+  // max starting from 0, so it is never negative. Copying takes the
+  // source's published value and a fresh mutex.
+  struct BetaCache {
+    std::atomic<double> value{-1.0};
+    std::mutex mutex;
+
+    BetaCache() = default;
+    BetaCache(const BetaCache& other) noexcept
+        : value(other.value.load(std::memory_order_acquire)) {}
+    BetaCache& operator=(const BetaCache& other) noexcept {
+      value.store(other.value.load(std::memory_order_acquire),
+                  std::memory_order_release);
+      return *this;
+    }
+  };
 
   std::vector<LatencyPtr> latencies_;
   std::vector<Strategy> strategies_;
@@ -130,7 +164,7 @@ class CongestionGame {
   double nu_ = 0.0;
   double lmax_upper_ = 0.0;
   double lmin_ = 0.0;
-  double beta_ = 0.0;
+  mutable BetaCache beta_;
 };
 
 }  // namespace cid

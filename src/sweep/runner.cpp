@@ -137,17 +137,19 @@ std::vector<ProtocolSpec> parse_protocol_list(const std::string& csv) {
   return out;
 }
 
+TrialStreamCursor::TrialStreamCursor(std::uint64_t master_seed,
+                                     std::uint32_t cell)
+    : cell_master_(Rng(master_seed).split(static_cast<std::uint64_t>(cell))) {}
+
+Rng TrialStreamCursor::next() { return cell_master_.split(next_trial_++); }
+
 Rng derive_trial_rng(std::uint64_t master_seed, std::uint32_t cell,
                      std::uint32_t trial) {
-  Rng grid_master(master_seed);
-  Rng cell_master = grid_master.split(static_cast<std::uint64_t>(cell));
+  TrialStreamCursor cursor(master_seed, cell);
   // split() advances the parent, so trial t's stream only exists after
   // the t earlier splits have been replayed in order.
-  Rng stream = cell_master.split(0);
-  for (std::uint32_t t = 1; t <= trial; ++t) {
-    stream = cell_master.split(static_cast<std::uint64_t>(t));
-  }
-  return stream;
+  for (std::uint32_t t = 0; t < trial; ++t) (void)cursor.next();
+  return cursor.next();
 }
 
 SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
@@ -179,20 +181,20 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
   };
   std::vector<Job> jobs;
   jobs.reserve(num_cells * trials_per_cell);
-  // Serial stream derivation: one fresh cell master per cell (keyed split
-  // of the grid master), then one split per trial — a pure function of
-  // master_seed, so scheduling cannot perturb it. derive_trial_rng is the
-  // shared authority (the cid_serve worker derives leased trials through
-  // the same function); re-deriving per trial costs O(trials²) splits per
-  // cell, a few ns each — noise against any real trial.
+  // Serial stream derivation: one cursor per cell, one split per trial —
+  // a pure function of master_seed, so scheduling cannot perturb it, and
+  // the same streams derive_trial_rng (the cid_serve worker's path) gives.
+  // Calling derive_trial_rng per trial here would replay O(trials²) splits
+  // per cell: 54M for 48 cells of 1500 trials, most of such a sweep's
+  // set-up.
   for (std::size_t cell = 0; cell < num_cells; ++cell) {
+    TrialStreamCursor streams(grid.master_seed,
+                              static_cast<std::uint32_t>(cell));
     for (std::size_t t = 0; t < trials_per_cell; ++t) {
       Job job;
       job.n_index = cell / num_protocols;
       job.protocol_index = cell % num_protocols;
-      job.rng = derive_trial_rng(grid.master_seed,
-                                 static_cast<std::uint32_t>(cell),
-                                 static_cast<std::uint32_t>(t));
+      job.rng = streams.next();
       jobs.push_back(job);
     }
   }

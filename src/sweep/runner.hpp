@@ -3,11 +3,12 @@
 // A SweepGrid is the cross product scenario × protocol × n, each cell run
 // for `trials` independent repetitions. The runner expands the grid into
 // one job per trial, derives every trial's Rng stream serially up front
-// (cell-keyed Rng::split, so streams are a pure function of the master
-// seed), builds each scenario instance once per n, and fans the jobs out
-// over the pool. Per-trial results are therefore bitwise identical for
-// every thread count; wall-clock timing, the one legitimately
-// scheduling-dependent output, is reported only per cell.
+// (one TrialStreamCursor per cell: cell-keyed Rng::split, so streams are a
+// pure function of the master seed), builds each scenario instance once
+// per n, and fans the jobs out over the pool. Per-trial results are
+// therefore bitwise identical for every thread count; wall-clock timing,
+// the one legitimately scheduling-dependent output, is reported only per
+// cell.
 #pragma once
 
 #include <cstdint>
@@ -194,13 +195,31 @@ struct SweepOptions {
 /// protocol/n axes, trials < 1, or a manifest from a different grid.
 SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options = {});
 
+/// Walks one cell's trial streams in trial order: a fresh grid master
+/// (Rng(master_seed)), one keyed split for the cell, then the t-th next()
+/// returns trial t's stream, split from the cell master with key t. Each
+/// next() is one Rng::split, so a cell's streams cost O(trials) splits in
+/// all. This is the one definition of a trial's stream: run_sweep walks a
+/// cursor per cell, and derive_trial_rng walks one to a single trial.
+class TrialStreamCursor {
+ public:
+  TrialStreamCursor(std::uint64_t master_seed, std::uint32_t cell);
+
+  /// The stream of the next trial (trial 0 first).
+  Rng next();
+
+ private:
+  Rng cell_master_;
+  std::uint64_t next_trial_ = 0;
+};
+
 /// Derives the Rng stream of one (cell, trial) exactly as run_sweep does:
-/// a fresh grid master per cell, one keyed split for the cell, then one
-/// split per trial IN ORDER — Rng::split mutates the parent, so trial t's
-/// stream requires replaying splits 0..t-1 (O(trial), a few ns per step).
-/// This is the single authority both run_sweep and the cid_serve worker
-/// path use, so a leased trial's stream can never drift from what the
-/// local runner would have drawn.
+/// a TrialStreamCursor advanced trial + 1 times. Rng::split mutates the
+/// parent, so trial t's stream requires replaying splits 0..t-1 (O(trial)
+/// splits; a caller wanting every trial of a cell walks a cursor instead).
+/// The cid_serve worker derives each leased trial through this function,
+/// so a leased trial's stream can never drift from what the local runner
+/// would have drawn.
 Rng derive_trial_rng(std::uint64_t master_seed, std::uint32_t cell,
                      std::uint32_t trial);
 

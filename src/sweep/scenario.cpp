@@ -176,6 +176,8 @@ class SymmetricInstance final : public ScenarioInstance {
     return label_ + ": " + game_.describe();
   }
 
+  const CongestionGame* congestion_game() const override { return &game_; }
+
   TrialOutcome run_trial(const ProtocolSpec& protocol,
                          const DynamicsConfig& dynamics, Rng& rng,
                          TrialStats* stats) const override {

@@ -168,6 +168,11 @@ class ScenarioInstance {
 
   virtual std::string describe() const = 0;
 
+  /// The symmetric game this instance runs, shared read-only by its
+  /// trials; nullptr for families that are not a CongestionGame (the
+  /// asymmetric and threshold ones).
+  virtual const CongestionGame* congestion_game() const { return nullptr; }
+
   /// Runs one independent trial. Must be const and re-entrant: trials of
   /// the same instance run concurrently on different threads, each with
   /// its own Rng stream. `stats`, when non-null, receives per-trial

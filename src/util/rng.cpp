@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <math.h>  // lgamma_r (POSIX)
 
 #include "util/assert.hpp"
 
@@ -148,7 +149,12 @@ std::int64_t Rng::binomial_btrs(std::int64_t n, double p) {
   const double lpq = std::log(p / q);
   const double m = std::floor((nd + 1.0) * p);
 
-  auto lgamma1p = [](double x) { return std::lgamma(x + 1.0); };
+  // lgamma_r, not std::lgamma: std::lgamma writes the global signgam, a
+  // data race between trial threads. Both return the same values.
+  auto lgamma1p = [](double x) {
+    int sign = 0;
+    return ::lgamma_r(x + 1.0, &sign);
+  };
   const double h = lgamma1p(m) + lgamma1p(nd - m);
 
   for (;;) {

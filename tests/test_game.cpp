@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <latch>
+#include <thread>
+#include <vector>
+
 #include "game/builders.hpp"
 #include "game/congestion_game.hpp"
 #include "game/state.hpp"
+#include "sweep/scenario.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -72,6 +79,100 @@ TEST(CongestionGame, ProtocolParameterBounds) {
   EXPECT_DOUBLE_EQ(game.beta_slope(), 2.0);      // linear slope a
   EXPECT_DOUBLE_EQ(game.max_latency_upper(), 20.0);  // a*n
   EXPECT_DOUBLE_EQ(game.nu(), 2.0);
+}
+
+// β as it was once computed eagerly at construction: one x = 1..n scan per
+// strategy × resource incidence. The lazy per-resource β must equal it bit
+// for bit.
+double eager_beta(const CongestionGame& game) {
+  double beta = 0.0;
+  for (const Strategy& st : game.strategies()) {
+    double acc = 0.0;
+    for (Resource e : st) {
+      acc += max_step_slope(game.latency(e), game.num_players());
+    }
+    beta = std::max(beta, acc);
+  }
+  return beta;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(CongestionGame, LazyBetaMatchesEagerLoopForEveryScenario) {
+  int symmetric = 0;
+  for (const sweep::Scenario& scenario : sweep::all_scenarios()) {
+    for (std::int64_t n : {50, 2000}) {
+      sweep::ScenarioSpec spec;
+      spec.name = scenario.name;
+      const auto instance = sweep::make_scenario(spec, n);
+      const CongestionGame* game = instance->congestion_game();
+      if (game == nullptr) continue;  // asymmetric/threshold: no β
+      ++symmetric;
+      EXPECT_EQ(bits(game->beta_slope()), bits(eager_beta(*game)))
+          << scenario.name << " n=" << n;
+    }
+  }
+  // singleton-uniform, load-balancing and network-routing.
+  EXPECT_EQ(symmetric, 3 * 2);
+}
+
+TEST(CongestionGame, LazyBetaMatchesEagerLoopWithSharedResources) {
+  // Braess: s->u and v->t each lie on two of the three paths.
+  const auto braess = braess_game(500);
+  EXPECT_EQ(bits(braess.beta_slope()), bits(eager_beta(braess)));
+
+  const auto net = make_layered_network(3, 3);
+  Rng rng(11);
+  std::vector<LatencyPtr> fns;
+  for (EdgeId e = 0; e < net.graph.num_edges(); ++e) {
+    const double a = 0.5 + rng.uniform();
+    fns.push_back(rng.bernoulli(0.5) ? make_linear(a)
+                                     : make_monomial(0.1 * a, 2.5));
+  }
+  const auto layered = make_network_game(net, std::move(fns), 777);
+  EXPECT_EQ(bits(layered.beta_slope()), bits(eager_beta(layered)));
+}
+
+TEST(CongestionGame, LazyBetaSurvivesCopyAndMove) {
+  const auto fresh = braess_game(300);
+  const double expected = eager_beta(fresh);
+
+  // Copied and moved before β is computed: each computes its own.
+  CongestionGame copy_before = fresh;
+  const CongestionGame moved_before = std::move(copy_before);
+  EXPECT_EQ(bits(moved_before.beta_slope()), bits(expected));
+
+  // Copied and moved after: the computed value travels along.
+  EXPECT_EQ(bits(fresh.beta_slope()), bits(expected));
+  CongestionGame copy_after = fresh;
+  EXPECT_EQ(bits(copy_after.beta_slope()), bits(expected));
+  const CongestionGame moved_after = std::move(copy_after);
+  EXPECT_EQ(bits(moved_after.beta_slope()), bits(expected));
+
+  CongestionGame assigned = braess_game(2);
+  assigned = fresh;
+  EXPECT_EQ(bits(assigned.beta_slope()), bits(expected));
+}
+
+TEST(CongestionGame, LazyBetaConcurrentFirstUse) {
+  // Large enough n that the first computation takes a while, so the eight
+  // first callers overlap.
+  const auto game = make_monomial_fan_game(16, 2.0, 0.5, 200000);
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<std::uint64_t> seen(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      seen[static_cast<std::size_t>(t)] = bits(game.beta_slope());
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  const std::uint64_t expected = bits(eager_beta(game));
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(t)], expected) << "thread " << t;
+  }
 }
 
 TEST(CongestionGame, LatencyQueries) {

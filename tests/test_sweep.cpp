@@ -15,10 +15,12 @@
 #include <vector>
 
 #include "analysis/experiment.hpp"
+#include "persist/manifest.hpp"
 #include "sweep/output.hpp"
 #include "sweep/pool.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/scenario.hpp"
+#include "sweep/shard.hpp"
 #include "util/rng.hpp"
 
 namespace cid::sweep {
@@ -129,6 +131,86 @@ TEST(SweepRunner, CellAggregatesMatchTrials) {
                      static_cast<double>(converged) /
                          static_cast<double>(grid.trials));
   }
+}
+
+// run_sweep walks one TrialStreamCursor per cell; derive_trial_rng (the
+// cid_serve worker's path) replays a cursor to a single trial. Both must
+// give the historical stream of every (cell, trial): a fresh grid master,
+// one split keyed by the cell, then split t of that cell master.
+TEST(SweepStreams, CursorMatchesDeriveTrialRng) {
+  for (const std::uint64_t seed : {1ULL, 99ULL, 0xC0FFEEULL}) {
+    for (const std::uint32_t cell : {0U, 5U, 47U}) {
+      Rng grid_master(seed);
+      Rng cell_master = grid_master.split(cell);
+      TrialStreamCursor cursor(seed, cell);
+      for (std::uint32_t t = 0; t < 2000; ++t) {
+        Rng historical = cell_master.split(t);
+        Rng walked = cursor.next();
+        Rng derived = derive_trial_rng(seed, cell, t);
+        ASSERT_EQ(walked.state(), derived.state())
+            << "seed " << seed << " cell " << cell << " trial " << t;
+        ASSERT_EQ(walked.state(), historical.state())
+            << "seed " << seed << " cell " << cell << " trial " << t;
+        for (int draw = 0; draw < 4; ++draw) {
+          const std::uint64_t next = walked.next_u64();
+          ASSERT_EQ(next, derived.next_u64()) << "trial " << t;
+          ASSERT_EQ(next, historical.next_u64()) << "trial " << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(SweepStreams, ShardAndResumeMatchUnshardedSerial) {
+  SweepGrid grid = small_grid();
+  grid.trials = 40;
+  const SweepResult serial = run_sweep(grid, with_threads(1));
+
+  // --shard 2/3: every trial the shard owns matches the serial run.
+  SweepOptions shard = with_threads(3);
+  shard.shard_index = 2;
+  shard.shard_count = 3;
+  const SweepResult sharded = run_sweep(grid, shard);
+  ASSERT_EQ(sharded.trials.size(), serial.trials.size());
+  const std::uint64_t fingerprint = persist::grid_fingerprint(grid);
+  std::size_t owned = 0;
+  for (std::size_t i = 0; i < serial.trials.size(); ++i) {
+    const TrialRow& row = serial.trials[i];
+    if (trial_shard(fingerprint, static_cast<std::uint32_t>(row.key.cell),
+                    static_cast<std::uint32_t>(row.trial), 3) != 2) {
+      continue;
+    }
+    ++owned;
+    EXPECT_EQ(sharded.trials[i].outcome, row.outcome) << "trial " << i;
+  }
+  EXPECT_GT(owned, 0U);
+
+  // Resumed: an interrupted manifest run, finished by a second invocation
+  // on another thread count, writes the serial run's trials byte for byte.
+  const std::string dir = ::testing::TempDir();
+  const std::string manifest = dir + "/streams_resume.manifest";
+  std::remove(manifest.c_str());
+  SweepOptions first = with_threads(2);
+  first.manifest_path = manifest;
+  first.max_new_trials = 70;
+  EXPECT_FALSE(run_sweep(grid, first).complete);
+  SweepOptions second = with_threads(4);
+  second.manifest_path = manifest;
+  const SweepResult resumed = run_sweep(grid, second);
+  EXPECT_TRUE(resumed.complete);
+  EXPECT_EQ(resumed.resumed_trials, 70U);
+  expect_identical(serial, resumed);
+  auto trials_csv = [](const SweepResult& result, const std::string& path) {
+    write_trials_csv(path, result);
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    std::remove(path.c_str());
+    return ss.str();
+  };
+  EXPECT_EQ(trials_csv(serial, dir + "/streams_serial.csv"),
+            trials_csv(resumed, dir + "/streams_resumed.csv"));
+  std::remove(manifest.c_str());
 }
 
 TEST(SweepPool, MapTrialsMatchesHistoricalSerialHarness) {

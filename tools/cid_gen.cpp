@@ -13,8 +13,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "cid/cid.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -43,19 +45,30 @@ int main(int argc, char** argv) {
     if (i + 1 >= argc) usage("missing value for flag");
     return argv[++i];
   };
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--help" || flag == "-h") usage(nullptr);
-    else if (flag == "--family") family = need_value(i);
-    else if (flag == "--out") out = need_value(i);
-    else if (flag == "--players") players = std::atoll(need_value(i));
-    else if (flag == "--links") links = std::atoi(need_value(i));
-    else if (flag == "--degree") degree = std::atof(need_value(i));
-    else if (flag == "--width") width = std::atoi(need_value(i));
-    else if (flag == "--depth") depth = std::atoi(need_value(i));
-    else if (flag == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(need_value(i)));
-    } else usage(("unknown flag: " + flag).c_str());
+  // Parses the flag's value strictly (util/parse_number.hpp) into `value`.
+  auto read_number = [&](int& i, auto& value) {
+    const char* const flag = argv[i];
+    value =
+        parse_number<std::remove_cvref_t<decltype(value)>>(flag, need_value(i));
+  };
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string flag = argv[i];
+      if (flag == "--help" || flag == "-h") usage(nullptr);
+      else if (flag == "--family") family = need_value(i);
+      else if (flag == "--out") out = need_value(i);
+      else if (flag == "--players") read_number(i, players);
+      else if (flag == "--links") read_number(i, links);
+      else if (flag == "--degree") read_number(i, degree);
+      else if (flag == "--width") read_number(i, width);
+      else if (flag == "--depth") read_number(i, depth);
+      else if (flag == "--seed") read_number(i, seed);
+      else usage(("unknown flag: " + flag).c_str());
+    }
+  } catch (const std::exception& e) {
+    // Bad flag values land here; bad flag shapes exit through usage().
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
   if (family.empty()) usage("--family is required");
   if (out.empty()) usage("--out is required");

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "persist/manifest.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -62,7 +63,8 @@ int main(int argc, char** argv) {
       out_path = need_value("--out");
     } else if (arg == "--max-corrupt") {
       try {
-        const int n = std::stoi(need_value("--max-corrupt"));
+        const int n = cid::parse_number<int>("--max-corrupt",
+                                             need_value("--max-corrupt"));
         if (n < 0) throw std::invalid_argument("negative");
         options.max_corrupt_inputs = static_cast<std::size_t>(n);
       } catch (const std::exception&) {

@@ -34,6 +34,7 @@
 #include <string>
 
 #include "cid/cid.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -340,8 +341,9 @@ int replay(int argc, char** argv) {
     };
     if (flag == "--snapshot") snapshot_path = need_value(i);
     else if (flag == "--log") log_path = need_value(i);
-    else if (flag == "--to") to_round = std::atoll(need_value(i));
-    else if (flag == "--save-state") save_state_path = need_value(i);
+    else if (flag == "--to") {
+      to_round = parse_number<std::int64_t>(flag, need_value(i));
+    } else if (flag == "--save-state") save_state_path = need_value(i);
     else if (flag == "--expect") expect_path = need_value(i);
     else if (flag == "--metrics") metrics_path = need_value(i);
     else if (flag == "--metrics-prom") prom_path = need_value(i);
@@ -458,9 +460,11 @@ int replay_telemetry(int argc, char** argv) {
     if (flag == "--snapshot") snapshot_path = need_value(i);
     else if (flag == "--log") log_path = need_value(i);
     else if (flag == "--telemetry") out_path = need_value(i);
-    else if (flag == "--to") to_round = std::atoll(need_value(i));
-    else if (flag == "--telemetry-every") every = std::atoll(need_value(i));
-    else usage(("unknown flag: " + flag).c_str());
+    else if (flag == "--to") {
+      to_round = parse_number<std::int64_t>(flag, need_value(i));
+    } else if (flag == "--telemetry-every") {
+      every = parse_number<std::int64_t>(flag, need_value(i));
+    } else usage(("unknown flag: " + flag).c_str());
   }
   if (snapshot_path.empty() || log_path.empty() || out_path.empty()) {
     usage("telemetry requires --snapshot, --log, and --telemetry");

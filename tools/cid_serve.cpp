@@ -35,11 +35,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 
 #include "cid/cid.hpp"
 #include "serve/coordinator.hpp"
 #include "serve/net.hpp"
 #include "util/fault.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -108,6 +110,12 @@ Options parse_args(int argc, char** argv) {
     if (i + 1 >= argc) usage("missing value for flag");
     return argv[++i];
   };
+  // Parses the flag's value strictly (util/parse_number.hpp) into `value`.
+  auto read_number = [&](int& i, auto& value) {
+    const char* const flag = argv[i];
+    value =
+        parse_number<std::remove_cvref_t<decltype(value)>>(flag, need_value(i));
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") usage(nullptr);
@@ -116,14 +124,13 @@ Options parse_args(int argc, char** argv) {
       opt.grid.ns = sweep::parse_grid_axis(need_value(i));
     } else if (flag == "--protocols") {
       opt.grid.protocols = sweep::parse_protocol_list(need_value(i));
-    } else if (flag == "--trials") opt.grid.trials = std::atoi(need_value(i));
+    } else if (flag == "--trials") read_number(i, opt.grid.trials);
     else if (flag == "--seed") {
-      opt.grid.master_seed =
-          static_cast<std::uint64_t>(std::atoll(need_value(i)));
+      read_number(i, opt.grid.master_seed);
     } else if (flag == "--rounds") {
-      opt.grid.dynamics.max_rounds = std::atoll(need_value(i));
+      read_number(i, opt.grid.dynamics.max_rounds);
     } else if (flag == "--check-interval") {
-      opt.grid.dynamics.check_interval = std::atoll(need_value(i));
+      read_number(i, opt.grid.dynamics.check_interval);
     } else if (flag == "--stop") {
       const std::string v = need_value(i);
       if (v == "stable") {
@@ -150,31 +157,31 @@ Options parse_args(int argc, char** argv) {
       const std::string kv = need_value(i);
       const auto eq = kv.find('=');
       if (eq == std::string::npos || eq == 0) usage("expected --param K=V");
-      opt.grid.scenario.params[kv.substr(0, eq)] =
-          std::atof(kv.c_str() + eq + 1);
-    } else if (flag == "--lambda") lambda = std::atof(need_value(i));
+      opt.grid.scenario.params[kv.substr(0, eq)] = parse_number<double>(
+          "--param " + kv.substr(0, eq), kv.substr(eq + 1));
+    } else if (flag == "--lambda") read_number(i, lambda);
     else if (flag == "--manifest") opt.serve.manifest_path = need_value(i);
     else if (flag == "--final-manifest") {
       opt.serve.final_manifest_path = need_value(i);
     } else if (flag == "--host") opt.serve.host = need_value(i);
     else if (flag == "--port") {
-      opt.serve.port = static_cast<std::uint16_t>(std::atoi(need_value(i)));
+      read_number(i, opt.serve.port);
     } else if (flag == "--port-file") opt.serve.port_file = need_value(i);
     else if (flag == "--lease-ttl") {
-      opt.serve.lease_ttl_seconds = std::atof(need_value(i));
+      read_number(i, opt.serve.lease_ttl_seconds);
     } else if (flag == "--tick") {
-      opt.serve.tick_seconds = std::atof(need_value(i));
+      read_number(i, opt.serve.tick_seconds);
     } else if (flag == "--wait-backoff") {
-      opt.serve.wait_backoff_ms = std::atoll(need_value(i));
+      read_number(i, opt.serve.wait_backoff_ms);
     } else if (flag == "--max-requeues") {
-      opt.serve.max_requeues = std::atoi(need_value(i));
+      read_number(i, opt.serve.max_requeues);
     } else if (flag == "--max-seconds") {
-      opt.serve.max_seconds = std::atof(need_value(i));
+      read_number(i, opt.serve.max_seconds);
     } else if (flag == "--metrics-http") {
       opt.serve.metrics_http = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') {
         opt.serve.metrics_port =
-            static_cast<std::uint16_t>(std::atoi(argv[++i]));
+            parse_number<std::uint16_t>(flag, argv[++i]);
       }
     } else if (flag == "--metrics-port-file") {
       opt.serve.metrics_port_file = need_value(i);

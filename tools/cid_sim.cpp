@@ -31,9 +31,11 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 
 #include "cid/cid.hpp"
 #include "util/fault.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -145,50 +147,56 @@ Options parse_args(int argc, char** argv) {
     if (i + 1 >= argc) usage("missing value for flag");
     return argv[++i];
   };
+  // Parses the flag's value strictly (util/parse_number.hpp) into `value`.
+  auto read_number = [&](int& i, auto& value) {
+    const char* const flag = argv[i];
+    value =
+        parse_number<std::remove_cvref_t<decltype(value)>>(flag, need_value(i));
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") usage(nullptr);
     else if (flag == "--game") opt.game_path = need_value(i);
     else if (flag == "--protocol") opt.protocol = need_value(i);
-    else if (flag == "--lambda") opt.lambda = std::atof(need_value(i));
+    else if (flag == "--lambda") read_number(i, opt.lambda);
     else if (flag == "--no-nu") opt.no_nu = true;
     else if (flag == "--no-damping") opt.no_damping = true;
-    else if (flag == "--virtual") opt.virtual_agents = std::atoll(need_value(i));
-    else if (flag == "--rounds") opt.rounds = std::atoll(need_value(i));
+    else if (flag == "--virtual") read_number(i, opt.virtual_agents);
+    else if (flag == "--rounds") read_number(i, opt.rounds);
     else if (flag == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(need_value(i)));
+      read_number(i, opt.seed);
     } else if (flag == "--engine") {
       const std::string v = need_value(i);
       if (v == "aggregate") opt.engine = EngineMode::kAggregate;
       else if (v == "perplayer") opt.engine = EngineMode::kPerPlayer;
       else usage("unknown engine");
     } else if (flag == "--row-threads") {
-      opt.row_threads = std::atoi(need_value(i));
+      read_number(i, opt.row_threads);
     } else if (flag == "--start") opt.start = need_value(i);
     else if (flag == "--stop") opt.stop = need_value(i);
     else if (flag == "--trace-every") {
-      opt.trace_every = std::atoll(need_value(i));
+      read_number(i, opt.trace_every);
     } else if (flag == "--csv") opt.csv_path = need_value(i);
     else if (flag == "--checkpoint") opt.checkpoint_path = need_value(i);
     else if (flag == "--checkpoint-every") {
-      opt.checkpoint_every = std::atoll(need_value(i));
+      read_number(i, opt.checkpoint_every);
     } else if (flag == "--checkpoint-keep") {
-      opt.checkpoint_keep = std::atoll(need_value(i));
+      read_number(i, opt.checkpoint_keep);
     } else if (flag == "--resume") opt.resume_path = need_value(i);
     else if (flag == "--event-log") opt.event_log_path = need_value(i);
     else if (flag == "--no-log-compress") opt.log_compress = false;
     else if (flag == "--rotate-bytes") {
-      opt.rotate_bytes = static_cast<std::uint64_t>(std::atoll(need_value(i)));
+      read_number(i, opt.rotate_bytes);
     } else if (flag == "--save-state") opt.save_state_path = need_value(i);
     else if (flag == "--metrics") opt.metrics_path = need_value(i);
     else if (flag == "--metrics-every") {
-      opt.metrics_every = std::atoll(need_value(i));
+      read_number(i, opt.metrics_every);
     } else if (flag == "--telemetry") opt.telemetry_path = need_value(i);
     else if (flag == "--telemetry-every") {
-      opt.telemetry_every = std::atoll(need_value(i));
+      read_number(i, opt.telemetry_every);
     } else if (flag == "--trace") opt.trace_path = need_value(i);
     else if (flag == "--trace-sample") {
-      opt.trace_sample = std::atoll(need_value(i));
+      read_number(i, opt.trace_sample);
     } else if (flag == "--inject-faults") {
       opt.fault_spec = need_value(i);
     } else usage(("unknown flag: " + flag).c_str());
@@ -261,7 +269,8 @@ State build_start(const Options& opt, const CongestionGame& game, Rng& rng) {
   if (opt.start == "uniform") return State::uniform_random(game, rng);
   if (opt.start == "even") return State::spread_evenly(game);
   if (opt.start.rfind("all:", 0) == 0) {
-    const auto k = static_cast<StrategyId>(std::atoi(opt.start.c_str() + 4));
+    const auto k =
+        parse_number<StrategyId>("--start all:K", opt.start.substr(4));
     if (k < 0 || k >= game.num_strategies()) usage("all:K out of range");
     return State::all_on(game, k);
   }

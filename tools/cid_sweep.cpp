@@ -65,12 +65,14 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "cid/cid.hpp"
 #include "serve/net.hpp"
 #include "serve/worker.hpp"
 #include "sweep/shard.hpp"
 #include "util/fault.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -205,6 +207,12 @@ Options parse_args(int argc, char** argv) {
     if (i + 1 >= argc) usage("missing value for flag");
     return argv[++i];
   };
+  // Parses the flag's value strictly (util/parse_number.hpp) into `value`.
+  auto read_number = [&](int& i, auto& value) {
+    const char* const flag = argv[i];
+    value =
+        parse_number<std::remove_cvref_t<decltype(value)>>(flag, need_value(i));
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") usage(nullptr);
@@ -216,15 +224,14 @@ Options parse_args(int argc, char** argv) {
       opt.grid.ns = sweep::parse_grid_axis(need_value(i));
     } else if (flag == "--protocols") {
       opt.grid.protocols = sweep::parse_protocol_list(need_value(i));
-    } else if (flag == "--trials") opt.grid.trials = std::atoi(need_value(i));
-    else if (flag == "--threads") opt.run.threads = std::atoi(need_value(i));
+    } else if (flag == "--trials") read_number(i, opt.grid.trials);
+    else if (flag == "--threads") read_number(i, opt.run.threads);
     else if (flag == "--seed") {
-      opt.grid.master_seed =
-          static_cast<std::uint64_t>(std::atoll(need_value(i)));
+      read_number(i, opt.grid.master_seed);
     } else if (flag == "--rounds") {
-      opt.grid.dynamics.max_rounds = std::atoll(need_value(i));
+      read_number(i, opt.grid.dynamics.max_rounds);
     } else if (flag == "--check-interval") {
-      opt.grid.dynamics.check_interval = std::atoll(need_value(i));
+      read_number(i, opt.grid.dynamics.check_interval);
     } else if (flag == "--stop") {
       const std::string v = need_value(i);
       if (v == "stable") {
@@ -248,43 +255,43 @@ Options parse_args(int argc, char** argv) {
         opt.grid.dynamics.mode = EngineMode::kPerPlayer;
       } else usage("unknown engine");
     } else if (flag == "--row-threads") {
-      opt.grid.dynamics.row_threads = std::atoi(need_value(i));
+      read_number(i, opt.grid.dynamics.row_threads);
     } else if (flag == "--manifest") {
       opt.run.manifest_path = need_value(i);
     } else if (flag == "--resume") {
       opt.run.manifest_path = need_value(i);
       opt.resume_required = true;
     } else if (flag == "--checkpoint-every") {
-      opt.run.manifest_flush_every = std::atoll(need_value(i));
+      read_number(i, opt.run.manifest_flush_every);
     } else if (flag == "--rotate-bytes") {
-      opt.run.manifest_rotate_bytes =
-          static_cast<std::uint64_t>(std::atoll(need_value(i)));
+      read_number(i, opt.run.manifest_rotate_bytes);
     } else if (flag == "--max-new-trials") {
-      opt.run.max_new_trials = std::atoll(need_value(i));
+      read_number(i, opt.run.max_new_trials);
     } else if (flag == "--metrics") {
       opt.metrics_path = need_value(i);
     } else if (flag == "--metrics-every") {
-      opt.metrics_every = std::atoll(need_value(i));
+      read_number(i, opt.metrics_every);
     } else if (flag == "--metrics-prom") {
       opt.prom_path = need_value(i);
     } else if (flag == "--telemetry") {
       opt.telemetry_path = need_value(i);
     } else if (flag == "--telemetry-every") {
-      opt.telemetry_every = std::atoll(need_value(i));
+      read_number(i, opt.telemetry_every);
     } else if (flag == "--trace") {
       opt.trace_path = need_value(i);
     } else if (flag == "--trace-sample") {
-      opt.trace_sample = std::atoll(need_value(i));
+      read_number(i, opt.trace_sample);
     } else if (flag == "--progress") {
       // Optional value: "--progress 2.5" or bare "--progress" (5 s).
       opt.run.progress_every_seconds = 5.0;
       if (i + 1 < argc && argv[i + 1][0] != '-') {
-        opt.run.progress_every_seconds = std::atof(argv[++i]);
+        opt.run.progress_every_seconds =
+            parse_number<double>(flag, argv[++i]);
       }
     } else if (flag == "--trial-retries") {
-      opt.run.trial_max_attempts = std::atoi(need_value(i));
+      read_number(i, opt.run.trial_max_attempts);
     } else if (flag == "--watchdog") {
-      opt.run.watchdog_seconds = std::atof(need_value(i));
+      read_number(i, opt.run.watchdog_seconds);
     } else if (flag == "--shard") {
       const sweep::ShardSpec shard = sweep::parse_shard_spec(need_value(i));
       opt.run.shard_index = shard.index;
@@ -299,9 +306,9 @@ Options parse_args(int argc, char** argv) {
       const std::string kv = need_value(i);
       const auto eq = kv.find('=');
       if (eq == std::string::npos || eq == 0) usage("expected --param K=V");
-      opt.grid.scenario.params[kv.substr(0, eq)] =
-          std::atof(kv.c_str() + eq + 1);
-    } else if (flag == "--lambda") lambda = std::atof(need_value(i));
+      opt.grid.scenario.params[kv.substr(0, eq)] = parse_number<double>(
+          "--param " + kv.substr(0, eq), kv.substr(eq + 1));
+    } else if (flag == "--lambda") read_number(i, lambda);
     else if (flag == "--out") opt.out_prefix = need_value(i);
     else usage(("unknown flag: " + flag).c_str());
   }
