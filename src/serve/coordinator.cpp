@@ -2,7 +2,9 @@
 
 #include <poll.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <deque>
 #include <filesystem>
@@ -21,6 +23,9 @@
 
 namespace cid::serve {
 namespace {
+
+/// Work one grant aims to hand out, in seconds of measured trial hold.
+constexpr double kBatchTargetSeconds = 0.010;
 
 std::int64_t steady_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -42,6 +47,9 @@ struct Lease {
   std::uint64_t conn_id = 0;
   std::int64_t deadline_ns = 0;
   std::int64_t granted_ns = 0;
+  /// Trials in the grant this lease came with; its hold divided by this
+  /// is the connection's per-trial hold estimate.
+  std::uint32_t batch = 1;
   /// serve.lease_expire fired at grant time: this lease is already lost —
   /// its completion is rejected and the trial reclaimed on the next tick,
   /// whatever the wall clock does.
@@ -54,6 +62,11 @@ struct Connection {
   std::int64_t worker_id = -1;  // -1 until a valid hello
   std::string worker_name;
   bool closing = false;  // error/bye sent; drop after flush
+  /// Responses to the frames of the current read, written in one send.
+  std::string outbox;
+  /// Latest measured grant-to-completion time per trial on this
+  /// connection; 0 until a completion lands (the next grant is 1 trial).
+  std::int64_t trial_hold_ns = 0;
 };
 
 struct HttpConnection {
@@ -136,8 +149,7 @@ class Coordinator {
             ? start_ns + static_cast<std::int64_t>(options_.max_seconds * 1e9)
             : 0;
 
-    while (true) {
-      if (work_finished() && connections_.empty()) break;
+    while (!(work_finished() && connections_.empty())) {
       if (deadline_ns != 0 && steady_ns() >= deadline_ns) {
         report_.timed_out = true;
         break;
@@ -147,6 +159,14 @@ class Coordinator {
     }
 
     finish();
+    // A worker that dialed while the grid drained (or while finish() wrote
+    // the manifest) would find the port closed. Answer until a tick passes
+    // with no connection left: it gets `drained` and says bye.
+    if (!report_.timed_out) {
+      do {
+        poll_once();
+      } while (!connections_.empty());
+    }
     return report_;
   }
 
@@ -240,17 +260,16 @@ class Coordinator {
         return;
       }
       conn.reader.feed(std::string_view(buffer, got));
-      while (auto payload = conn.reader.next()) {
+      // Handlers only append to the outbox, so `conn` stays valid; a
+      // handler that marks the connection closing (error / bye) ends the
+      // read.
+      while (!conn.closing) {
+        auto payload = conn.reader.next();
+        if (!payload) break;
         handle_message(conn_id, Message::parse(*payload));
-        // A handler may have marked the connection for teardown (error /
-        // bye); stop reading it.
-        auto again = connections_.find(conn_id);
-        if (again == connections_.end() || again->second.closing) break;
       }
-      auto again = connections_.find(conn_id);
-      if (again != connections_.end() && again->second.closing) {
-        drop_connection(conn_id, "closed");
-      }
+      flush(conn);
+      if (conn.closing) drop_connection(conn_id, "closed");
     } catch (const proto_error& e) {
       if (options_.verbose) {
         std::fprintf(stderr, "cid_serve: conn %llu protocol error: %s\n",
@@ -387,41 +406,76 @@ class Coordinator {
                         static_cast<std::int64_t>(report_.trials_completed)));
   }
 
+  /// Trials for the next grant on `conn`: 1 until the connection has a
+  /// measured per-trial hold, then enough to hold about
+  /// kBatchTargetSeconds of work, capped at kMaxGrantTrials and
+  /// at an even share of the pending trials among connected workers.
+  std::size_t batch_size(const Connection& conn) const {
+    if (conn.trial_hold_ns <= 0) return 1;
+    const double by_time =
+        std::ceil(kBatchTargetSeconds * 1e9 /
+                  static_cast<double>(conn.trial_hold_ns));
+    const std::size_t k =
+        by_time < static_cast<double>(kMaxGrantTrials)
+            ? static_cast<std::size_t>(by_time)
+            : static_cast<std::size_t>(kMaxGrantTrials);
+    // The requester has said hello, so at least one worker is connected.
+    const auto workers = static_cast<std::size_t>(std::count_if(
+        connections_.begin(), connections_.end(),
+        [](const auto& entry) { return entry.second.worker_id >= 0; }));
+    const std::size_t share = (queue_.size() + workers - 1) / workers;
+    return std::max<std::size_t>(1, std::min(k, share));
+  }
+
+  /// Grants the longest run of consecutive pending trials of one cell at
+  /// the queue's front, up to batch_size(conn). Every trial gets its own
+  /// lease (consecutive ids) and its own serve.lease_expire consultation.
   void handle_lease(std::uint64_t conn_id, Connection& conn) {
     if (queue_.empty()) {
       respond(conn, work_finished() ? msg_drained()
                                     : msg_wait(options_.wait_backoff_ms));
       return;
     }
-    const std::size_t trial_index = queue_.front();
-    queue_.pop_front();
-    state_[trial_index] = TrialState::kLeased;
-
-    Lease lease;
-    lease.trial_index = trial_index;
-    lease.conn_id = conn_id;
-    lease.granted_ns = steady_ns();
-    lease.deadline_ns =
-        lease.granted_ns +
-        static_cast<std::int64_t>(options_.lease_ttl_seconds * 1e9);
-    // Deterministic lease loss: consulted once per grant, so the schedule
-    // indexes grants, not wall-clock races. A poisoned grant can never
-    // produce a completion.
-    const util::FaultAction fault = util::fault_point("serve.lease_expire");
-    if (fault.kind != util::FaultKind::kNone) {
-      lease.poisoned = true;
-      registry_.add_named("serve.leases_poisoned", 1);
+    const std::size_t limit = batch_size(conn);
+    const std::size_t first = queue_.front();
+    std::size_t count = 0;
+    while (count < limit && !queue_.empty() &&
+           queue_.front() == first + count &&
+           (count == 0 || (first + count) % trials_per_cell_ != 0)) {
+      queue_.pop_front();
+      ++count;
     }
-    const std::uint64_t lease_id = next_lease_id_++;
-    leases_.emplace(lease_id, lease);
-    ++report_.leases_granted;
-    registry_.add_named("serve.leases_granted", 1);
+
+    const std::uint64_t first_lease = next_lease_id_;
+    const std::int64_t now = steady_ns();
+    for (std::size_t i = 0; i < count; ++i) {
+      state_[first + i] = TrialState::kLeased;
+      Lease lease;
+      lease.trial_index = first + i;
+      lease.conn_id = conn_id;
+      lease.granted_ns = now;
+      lease.batch = static_cast<std::uint32_t>(count);
+      lease.deadline_ns =
+          now + static_cast<std::int64_t>(options_.lease_ttl_seconds * 1e9);
+      // Deterministic lease loss: consulted once per leased trial, so the
+      // schedule indexes trials granted, not wall-clock races. A poisoned
+      // lease can never produce a completion.
+      const util::FaultAction fault = util::fault_point("serve.lease_expire");
+      if (fault.kind != util::FaultKind::kNone) {
+        lease.poisoned = true;
+        registry_.add_named("serve.leases_poisoned", 1);
+      }
+      leases_.emplace(next_lease_id_++, lease);
+    }
+    report_.leases_granted += count;
+    registry_.add_named("serve.leases_granted",
+                        static_cast<std::int64_t>(count));
+    registry_.add_named("serve.grants", 1);
     respond(conn,
-            msg_grant(lease_id,
-                      static_cast<std::uint32_t>(trial_index /
-                                                 trials_per_cell_),
-                      static_cast<std::uint32_t>(trial_index %
-                                                 trials_per_cell_),
+            msg_grant(first_lease,
+                      static_cast<std::uint32_t>(first / trials_per_cell_),
+                      static_cast<std::uint32_t>(first % trials_per_cell_),
+                      static_cast<std::uint32_t>(count),
                       static_cast<std::int64_t>(
                           options_.lease_ttl_seconds * 1e3)));
   }
@@ -462,8 +516,9 @@ class Coordinator {
     }
 
     const sweep::TrialOutcome outcome = decode_outcome(message);
-    const double latency_ms =
-        static_cast<double>(steady_ns() - it->second.granted_ns) / 1e6;
+    const std::int64_t hold_ns = steady_ns() - it->second.granted_ns;
+    conn.trial_hold_ns = std::max<std::int64_t>(1, hold_ns / it->second.batch);
+    const double latency_ms = static_cast<double>(hold_ns) / 1e6;
     leases_.erase(it);
     state_[trial_index] = TrialState::kDone;
     completed_[{cell, trial}] = outcome;
@@ -507,7 +562,14 @@ class Coordinator {
   }
 
   void respond(Connection& conn, const std::string& payload) {
-    send_frame(conn.socket, encode_frame(payload));
+    conn.outbox += encode_frame(payload);
+  }
+
+  void flush(Connection& conn) {
+    if (conn.outbox.empty()) return;
+    std::string out;
+    out.swap(conn.outbox);
+    send_frame(conn.socket, out);
   }
 
   // ---- Fleet metrics --------------------------------------------------------

@@ -15,10 +15,24 @@
 // canonically ((cell, trial)-sorted via write_manifest_canonical) so the
 // final file does not depend on fleet completion order.
 //
+// Batched grants: a lease request is answered with a run of up to K
+// consecutive pending trials of one cell, each under its own lease (own
+// id, TTL, renewals, serve.lease_expire consultation and reclaim). The
+// first grant on a connection is a single trial; after that K aims at
+// about 10 ms of work (kBatchTargetSeconds), from the per-trial hold
+// measured on the connection's completions (grant to completion, divided
+// by the batch size), capped at kMaxGrantTrials (proto.hpp) and at
+// ceil(pending / connected workers) so the tail of a grid spreads over
+// the fleet. A worker killed mid-batch loses at most that one batch —
+// about 10 ms of work — which the coordinator reclaims and re-grants; the
+// trials land elsewhere with the same bytes. The responses to every frame
+// one read delivered are buffered and written back in one send (error
+// and bye included, before the connection is dropped).
+//
 // Determinism of lease loss: the "serve.lease_expire" fault site is
-// consulted once per grant; when it fires the lease is POISONED — its
-// completion is rejected (lease_lost) and the trial reclaimed on the next
-// tick — so lease-loss tests depend on the fault schedule, never on
+// consulted once per leased trial; when it fires the lease is POISONED —
+// its completion is rejected (lease_lost) and the trial reclaimed on the
+// next tick — so lease-loss tests depend on the fault schedule, never on
 // timing. net.accept faults drop fresh connections before the handshake.
 //
 // Fleet metrics: workers push metrics_version-stamped counter snapshots
@@ -89,7 +103,7 @@ struct CoordinatorReport {
   std::size_t trials_completed = 0;  // includes resumed
   std::size_t trials_resumed = 0;    // loaded from an existing manifest
   std::size_t trials_failed = 0;     // exceeded max_requeues
-  std::size_t leases_granted = 0;
+  std::size_t leases_granted = 0;      // one per trial granted
   std::size_t leases_expired = 0;      // TTL reclaims (incl. poisoned)
   std::size_t leases_disconnected = 0; // dropped-connection reclaims
   std::size_t requeues = 0;            // worker-requested requeues
@@ -100,7 +114,9 @@ struct CoordinatorReport {
 };
 
 /// Runs the coordinator to completion (grid drained, all connections
-/// gone) or to the max_seconds limit. Throws net_error when the sockets
+/// gone) or to the max_seconds limit. After the drain it keeps answering
+/// until one tick passes with no connection, so a worker that was still
+/// dialing is told `drained` instead of finding the port closed. Throws net_error when the sockets
 /// cannot be bound and persist_error on manifest failures; per-connection
 /// errors (garbage frames, injected net faults, worker death) only ever
 /// drop that connection.

@@ -16,8 +16,11 @@
 //
 // Sockets stay in blocking mode everywhere. The coordinator's poll() loop
 // only reads fds poll flagged readable, so single recv() calls cannot
-// block; responses are small (<1 KiB) so blocking writes cannot deadlock
-// against 64 KiB socket buffers.
+// block. The largest writes are a worker's pipelined batch of completions
+// (at most 64 frames, about 16 KiB) and the coordinator's buffered
+// responses to one read (a few KiB); both fit in 64 KiB socket buffers,
+// and each side reads its peer's responses only after its own write, so
+// blocking writes cannot deadlock.
 #pragma once
 
 #include <cstdint>

@@ -405,12 +405,14 @@ std::string msg_lease() {
 }
 
 std::string msg_grant(std::uint64_t lease_id, std::uint32_t cell,
-                      std::uint32_t trial, std::int64_t ttl_ms) {
+                      std::uint32_t trial, std::uint32_t count,
+                      std::int64_t ttl_ms) {
   obs::JsonObject o;
   o.str("type", "grant");
   o.num("lease_id", static_cast<std::int64_t>(lease_id));
   o.num("cell", static_cast<std::int64_t>(cell));
   o.num("trial", static_cast<std::int64_t>(trial));
+  o.num("count", static_cast<std::int64_t>(count));
   o.num("ttl_ms", ttl_ms);
   return o.take();
 }
@@ -493,6 +495,39 @@ std::string msg_ack() {
   obs::JsonObject o;
   o.str("type", "ack");
   return o.take();
+}
+
+Grant decode_grant(const Message& message, std::int64_t cells,
+                   std::int64_t trials) {
+  const std::int64_t lease_id = message.get_int("lease_id");
+  const std::int64_t cell = message.get_int("cell");
+  const std::int64_t trial = message.get_int("trial");
+  const std::int64_t count = message.get_int("count");
+  const std::int64_t ttl_ms = message.get_int("ttl_ms");
+  if (lease_id < 0) throw proto_error("grant: negative lease_id");
+  if (cell < 0 || cell >= cells) {
+    throw proto_error("grant: cell " + std::to_string(cell) +
+                      " outside this grid");
+  }
+  if (count < 1 || count > kMaxGrantTrials) {
+    throw proto_error("grant: count " + std::to_string(count) +
+                      " outside [1, " + std::to_string(kMaxGrantTrials) +
+                      "]");
+  }
+  // count is bounded above, so trial + count cannot overflow.
+  if (trial < 0 || trial > trials - count) {
+    throw proto_error("grant: trials " + std::to_string(trial) + "+" +
+                      std::to_string(count) + " run past the grid's " +
+                      std::to_string(trials));
+  }
+  if (ttl_ms < 1) throw proto_error("grant: ttl_ms must be positive");
+  Grant grant;
+  grant.lease_id = static_cast<std::uint64_t>(lease_id);
+  grant.cell = static_cast<std::uint32_t>(cell);
+  grant.trial = static_cast<std::uint32_t>(trial);
+  grant.count = static_cast<std::uint32_t>(count);
+  grant.ttl_ms = ttl_ms;
+  return grant;
 }
 
 sweep::TrialOutcome decode_outcome(const Message& message) {

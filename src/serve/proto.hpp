@@ -9,18 +9,22 @@
 // src/serve/net.* owns the sockets.
 //
 // Every message carries a "type". The conversation is strict RPC: the
-// worker sends one request and the coordinator sends exactly one response
-// frame — the coordinator never pushes unsolicited frames, so a reader is
-// never guessing which request a frame answers.
+// coordinator sends exactly one response frame per request, in request
+// order, and never pushes unsolicited frames, so a reader is never
+// guessing which request a frame answers. A peer may pipeline: write
+// several requests in one send and then read their responses in the same
+// order (the worker writes a whole batch's complete/requeue frames at
+// once; the coordinator buffers the responses to everything one read
+// delivered and writes them back in one send).
 //
-//   hello    {"type":"hello","v":1,"fingerprint":"<16 hex>","worker":S}
-//            -> welcome {"type":"welcome","v":1,"worker_id":N,
+//   hello    {"type":"hello","v":2,"fingerprint":"<16 hex>","worker":S}
+//            -> welcome {"type":"welcome","v":2,"worker_id":N,
 //                        "trials_total":N,"trials_done":N}
 //            or error   {"type":"error","message":S} (version/grid
 //            mismatch; the coordinator closes after sending it)
 //   lease    {"type":"lease"}
 //            -> grant   {"type":"grant","lease_id":N,"cell":N,"trial":N,
-//                        "ttl_ms":N}
+//                        "count":K,"ttl_ms":N}
 //            or wait    {"type":"wait","backoff_ms":N}   (all work leased)
 //            or drained {"type":"drained"}               (nothing left, ever)
 //   renew    {"type":"renew","lease_id":N}
@@ -34,6 +38,11 @@
 //   metrics  {"type":"metrics","metrics_version":1,"counters":{S:N,...}}
 //            -> ack
 //   bye      {"type":"bye"} -> ack
+//
+// A grant is a batch: K (1 <= K <= kMaxGrantTrials) consecutive trials
+// trial, trial+1, ..., trial+K-1 of one cell, trial i holding its own
+// lease lease_id+i. Each lease is renewed, completed, requeued and lost
+// on its own; the batch shares only the grant frame.
 //
 // H fields are IEEE-754 doubles as exactly 16 lowercase hex digits of the
 // bit pattern ("3ff0000000000000" = 1.0). Manifest byte-identity between a
@@ -59,8 +68,11 @@
 
 namespace cid::serve {
 
-inline constexpr int kServeProtoVersion = 1;
+inline constexpr int kServeProtoVersion = 2;
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
+/// The most trials one grant may carry (the coordinator's batch cap and
+/// the worker's validation bound).
+inline constexpr std::int64_t kMaxGrantTrials = 64;
 
 /// A malformed frame or message: bad length prefix, invalid JSON, missing
 /// or mistyped fields. Never recoverable on the same connection.
@@ -153,7 +165,8 @@ std::string msg_welcome(std::int64_t worker_id, std::int64_t trials_total,
 std::string msg_error(std::string_view message);
 std::string msg_lease();
 std::string msg_grant(std::uint64_t lease_id, std::uint32_t cell,
-                      std::uint32_t trial, std::int64_t ttl_ms);
+                      std::uint32_t trial, std::uint32_t count,
+                      std::int64_t ttl_ms);
 std::string msg_wait(std::int64_t backoff_ms);
 std::string msg_drained();
 std::string msg_renew(std::uint64_t lease_id);
@@ -166,6 +179,24 @@ std::string msg_requeue(std::uint64_t lease_id, std::string_view reason);
 std::string msg_metrics(const std::map<std::string, std::int64_t>& counters);
 std::string msg_bye();
 std::string msg_ack();
+
+/// A grant decoded and checked against the worker's grid: `count`
+/// consecutive trials of `cell` from `trial` on, trial + i under lease
+/// lease_id + i.
+struct Grant {
+  std::uint64_t lease_id = 0;
+  std::uint32_t cell = 0;
+  std::uint32_t trial = 0;
+  std::uint32_t count = 0;
+  std::int64_t ttl_ms = 0;
+};
+
+/// Decodes a "grant" for a grid of `cells` cells of `trials` trials each.
+/// Throws proto_error when count is 0 or above kMaxGrantTrials, when
+/// trial + count runs past `trials`, when the cell is outside the grid,
+/// or when ttl_ms is not positive.
+Grant decode_grant(const Message& message, std::int64_t cells,
+                   std::int64_t trials);
 
 /// Decodes the outcome fields of a "complete" message (hex-bit doubles).
 sweep::TrialOutcome decode_outcome(const Message& message);

@@ -1,6 +1,5 @@
 #include "serve/worker.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -8,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -31,9 +31,11 @@ void sleep_ms(double ms) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
-/// Strict request/response channel over one socket. rpc() holds the mutex
-/// across the send AND the response read, so the main loop and the
-/// renewer thread can never interleave their conversations.
+/// Request/response channel over one socket. pipeline() holds the mutex
+/// across the send AND the reads of every response, so the main loop and
+/// the renewer thread can never interleave their conversations. Any
+/// failure inside it breaks the channel for both threads: a stream that
+/// failed mid-conversation cannot be resynchronized.
 class Channel {
  public:
   Channel(Socket socket, double recv_timeout_seconds)
@@ -42,9 +44,30 @@ class Channel {
   }
 
   Message rpc(const std::string& payload) {
+    return std::move(pipeline({payload}).front());
+  }
+
+  /// Writes every request in one send, then reads one response per
+  /// request, in order.
+  std::vector<Message> pipeline(const std::vector<std::string>& payloads) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    send_frame(socket_, encode_frame(payload));
-    return Message::parse(read_frame());
+    if (broken_) throw net_error("connection failed earlier");
+    try {
+      std::string frames;
+      for (const std::string& payload : payloads) {
+        frames += encode_frame(payload);
+      }
+      send_frame(socket_, frames);
+      std::vector<Message> responses;
+      responses.reserve(payloads.size());
+      for (std::size_t i = 0; i < payloads.size(); ++i) {
+        responses.push_back(Message::parse(read_frame()));
+      }
+      return responses;
+    } catch (...) {
+      broken_ = true;
+      throw;
+    }
   }
 
  private:
@@ -59,42 +82,21 @@ class Channel {
   }
 
   std::mutex mutex_;
+  bool broken_ = false;
   Socket socket_;
   FrameReader reader_;
 };
 
-/// Background lease renewer: fires a renew RPC every interval until
-/// stopped or the lease is reported lost. Channel/net failures just stop
-/// the renewer — the main loop discovers the dead connection on its own
-/// next RPC.
+/// The connection's lease renewer: one background thread that, every
+/// ttl * renew_fraction, renews every lease the worker holds (one
+/// pipelined write). A lease reported lost is dropped from the set; its
+/// completion will be rejected the same way. Channel failures stop the
+/// thread — the main loop finds the dead connection on its next request.
 class Renewer {
  public:
-  Renewer(Channel& channel, std::uint64_t lease_id, double interval_ms)
-      : channel_(channel), lease_id_(lease_id) {
-    thread_ = std::thread([this, interval_ms] {
-      std::unique_lock<std::mutex> lock(mutex_);
-      while (!stop_) {
-        if (cv_.wait_for(lock,
-                         std::chrono::duration<double, std::milli>(
-                             interval_ms),
-                         [this] { return stop_; })) {
-          return;
-        }
-        lock.unlock();
-        bool done = false;
-        try {
-          const Message response = channel_.rpc(msg_renew(lease_id_));
-          if (response.type() != "renewed") {
-            lost_.store(true, std::memory_order_relaxed);
-            done = true;
-          }
-        } catch (...) {
-          done = true;  // channel dead; the main loop will find out
-        }
-        lock.lock();
-        if (done) return;
-      }
-    });
+  Renewer(Channel& channel, double renew_fraction)
+      : channel_(channel), renew_fraction_(renew_fraction) {
+    thread_ = std::thread([this] { loop(); });
   }
 
   ~Renewer() {
@@ -106,16 +108,64 @@ class Renewer {
     thread_.join();
   }
 
-  bool lost() const { return lost_.load(std::memory_order_relaxed); }
+  /// Starts renewing `grant`'s leases.
+  void hold(const Grant& grant) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      interval_ms_ = static_cast<double>(grant.ttl_ms) * renew_fraction_;
+      for (std::uint32_t i = 0; i < grant.count; ++i) {
+        held_.insert(grant.lease_id + i);
+      }
+    }
+    cv_.notify_all();
+  }
+
+  /// Stops renewing every lease (their completions are about to be sent).
+  void release_all() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    held_.clear();
+  }
 
  private:
+  void loop() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (true) {
+      cv_.wait(lock, [this] { return stop_ || !held_.empty(); });
+      if (stop_) return;
+      if (cv_.wait_for(lock,
+                       std::chrono::duration<double, std::milli>(
+                           interval_ms_),
+                       [this] { return stop_; })) {
+        return;
+      }
+      const std::vector<std::uint64_t> leases(held_.begin(), held_.end());
+      if (leases.empty()) continue;
+      std::vector<std::string> requests;
+      for (const std::uint64_t lease_id : leases) {
+        requests.push_back(msg_renew(lease_id));
+      }
+      lock.unlock();
+      std::vector<Message> responses;
+      try {
+        responses = channel_.pipeline(requests);
+      } catch (...) {
+        return;  // channel dead; the main loop will find out
+      }
+      lock.lock();
+      for (std::size_t i = 0; i < leases.size(); ++i) {
+        if (responses[i].type() != "renewed") held_.erase(leases[i]);
+      }
+    }
+  }
+
   Channel& channel_;
-  std::uint64_t lease_id_;
-  std::thread thread_;
+  const double renew_fraction_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;
-  std::atomic<bool> lost_{false};
+  double interval_ms_ = 0.0;
+  std::set<std::uint64_t> held_;
+  std::thread thread_;
 };
 
 class Worker {
@@ -124,6 +174,7 @@ class Worker {
       : grid_(grid), options_(options) {
     num_protocols_ = grid.protocols.size();
     instances_.resize(grid.ns.size());
+    cursors_.resize(grid.ns.size() * num_protocols_);
     fingerprint_ = persist::grid_fingerprint(grid);
   }
 
@@ -135,32 +186,36 @@ class Worker {
               options_.max_trials) {
         break;
       }
-      Message response = Message{};
       try {
         const std::int64_t ask_ns = steady_ns();
-        response = channel_->rpc(msg_lease());
+        const Message response = channel_->rpc(msg_lease());
         queue_wait_ns_ += steady_ns() - ask_ns;
+        const std::string& type = response.type();
+        if (type == "drained") {
+          report_.drained = true;
+          break;
+        }
+        if (type == "wait") {
+          ++report_.waits;
+          const std::int64_t wait_start = steady_ns();
+          sleep_ms(static_cast<double>(response.get_int("backoff_ms")));
+          queue_wait_ns_ += steady_ns() - wait_start;
+          continue;
+        }
+        if (type != "grant") {
+          throw proto_error("unexpected response to lease: " + type);
+        }
+        run_batch(decode_grant(
+            response, static_cast<std::int64_t>(cursors_.size()),
+            grid_.trials));
+        push_metrics();
       } catch (const net_error& e) {
         reconnect(e.what());
-        continue;
+      } catch (const proto_error& e) {
+        // A garbled frame poisons the connection: reconnect, and leave
+        // whatever it leased to the coordinator's reclaim.
+        reconnect(e.what());
       }
-      const std::string& type = response.type();
-      if (type == "drained") {
-        report_.drained = true;
-        break;
-      }
-      if (type == "wait") {
-        ++report_.waits;
-        const std::int64_t wait_start = steady_ns();
-        sleep_ms(static_cast<double>(response.get_int("backoff_ms")));
-        queue_wait_ns_ += steady_ns() - wait_start;
-        continue;
-      }
-      if (type != "grant") {
-        throw std::runtime_error("cid_sweep worker: unexpected response to "
-                                 "lease: " + type);
-      }
-      handle_grant(response);
     }
     farewell();
     return report_;
@@ -191,6 +246,10 @@ class Worker {
         }
         worker_id_ = response.get_int("worker_id");
         channel_ = std::move(channel);
+        if (options_.renew_fraction > 0.0) {
+          renewer_ = std::make_unique<Renewer>(*channel_,
+                                               options_.renew_fraction);
+        }
         if (options_.verbose) {
           std::fprintf(stderr,
                        "cid_sweep worker %s: connected as worker %lld "
@@ -213,6 +272,13 @@ class Worker {
     throw last;
   }
 
+  /// Closes the connection; the renewer stops first, since it talks
+  /// through the channel.
+  void disconnect() {
+    renewer_.reset();
+    channel_.reset();
+  }
+
   void reconnect(const char* why) {
     ++report_.reconnects;
     registry_.add_named("sweep.reconnects", 1);
@@ -222,7 +288,7 @@ class Worker {
                    "reconnecting\n",
                    options_.name.c_str(), why);
     }
-    channel_.reset();
+    disconnect();
     connect();
   }
 
@@ -234,43 +300,31 @@ class Worker {
     return *instances_[n_index];
   }
 
-  void handle_grant(const Message& grant) {
-    const auto lease_id =
-        static_cast<std::uint64_t>(grant.get_int("lease_id"));
-    const auto cell = static_cast<std::uint32_t>(grant.get_int("cell"));
-    const auto trial = static_cast<std::uint32_t>(grant.get_int("trial"));
-    const auto ttl_ms = static_cast<double>(grant.get_int("ttl_ms"));
+  /// The cell's stream cursor, positioned at `trial`. A grant that
+  /// continues the previous one on this cell costs no extra splits; one
+  /// that starts behind the cursor restarts it.
+  sweep::TrialStreamCursor& cursor_at(std::uint32_t cell,
+                                      std::uint32_t trial) {
+    std::optional<sweep::TrialStreamCursor>& cursor = cursors_[cell];
+    if (!cursor || cursor->next_trial() > trial) {
+      cursor.emplace(grid_.master_seed, cell);
+    }
+    while (cursor->next_trial() < trial) (void)cursor->next();
+    return *cursor;
+  }
+
+  /// Runs one trial under the local runner's retry discipline, verbatim:
+  /// fresh stream copy and zeroed stats per attempt, the same sweep.trial
+  /// fault site, crash always propagating, capped exponential backoff.
+  /// Returns false (with `error`) when every attempt failed.
+  bool run_trial(std::size_t cell, const Rng& stream,
+                 sweep::TrialOutcome& outcome, std::string& error) {
     const std::size_t n_index = cell / num_protocols_;
     const std::size_t protocol_index = cell % num_protocols_;
-    if (n_index >= grid_.ns.size()) {
-      throw std::runtime_error("cid_sweep worker: grant for cell " +
-                               std::to_string(cell) +
-                               " outside this grid");
-    }
-
-    // The same stream a local run_sweep would hand this (cell, trial):
-    // outcomes are a pure function of it, so whoever lands the trial
-    // lands identical bits.
-    const Rng job_rng =
-        sweep::derive_trial_rng(grid_.master_seed, cell, trial);
-
-    std::optional<Renewer> renewer;
-    if (options_.renew_fraction > 0.0) {
-      renewer.emplace(*channel_, lease_id,
-                      ttl_ms * options_.renew_fraction);
-    }
-
-    // The local runner's retry discipline, verbatim: fresh stream copy and
-    // zeroed stats per attempt, the same sweep.trial fault site, crash
-    // always propagating, capped exponential backoff.
     const int max_attempts = std::max(1, options_.trial_max_attempts);
-    sweep::TrialOutcome outcome;
-    sweep::TrialStats stats;
-    bool ok = false;
-    std::string last_error;
-    for (int attempt = 1; attempt <= max_attempts && !ok; ++attempt) {
-      Rng trial_rng = job_rng;
-      stats = sweep::TrialStats{};
+    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+      Rng trial_rng = stream;
+      sweep::TrialStats stats;
       try {
         if (util::faults_armed()) {
           const util::FaultAction fault = util::fault_point("sweep.trial");
@@ -282,11 +336,13 @@ class Worker {
         outcome = instance(n_index).run_trial(
             grid_.protocols[protocol_index], grid_.dynamics, trial_rng,
             &stats);
-        ok = true;
+        registry_.add_named("sweep.ran_rounds", stats.ran_rounds);
+        registry_.add_named("sweep.latency_evals", stats.latency_evals);
+        return true;
       } catch (const util::fault_crash&) {
         throw;  // a crash is a kill, never an error to isolate
       } catch (const std::exception& e) {
-        last_error = e.what();
+        error = e.what();
         if (attempt >= max_attempts) break;
         ++report_.trial_retries;
         registry_.add_named("sweep.trial_retries", 1);
@@ -298,26 +354,60 @@ class Worker {
         }
       }
     }
-    renewer.reset();  // stop renewing before the closing RPC
+    return false;
+  }
 
-    try {
-      if (!ok) {
-        // Local budget exhausted: hand the trial back for another worker.
-        ++report_.trials_requeued;
-        registry_.add_named("sweep.trial_failures", 1);
-        std::fprintf(stderr,
-                     "cid_sweep worker %s: trial (cell %u trial %u) FAILED "
-                     "after %d attempt(s): %s — requeueing\n",
-                     options_.name.c_str(), cell, trial, max_attempts,
-                     last_error.c_str());
-        channel_->rpc(msg_requeue(lease_id, last_error));
-        return;
+  /// Runs a grant's trials in order, then answers every lease in one
+  /// pipelined write: complete for a trial that ran, requeue for one that
+  /// exhausted its retries or lies past this worker's max_trials budget.
+  void run_batch(const Grant& grant) {
+    if (renewer_ != nullptr) renewer_->hold(grant);
+    std::size_t runnable = grant.count;
+    if (options_.max_trials >= 0) {
+      runnable = std::min<std::size_t>(
+          runnable, static_cast<std::size_t>(options_.max_trials) -
+                        report_.trials_completed);
+    }
+    sweep::TrialStreamCursor& cursor = cursor_at(grant.cell, grant.trial);
+    std::vector<std::string> requests;
+    std::vector<bool> completes;
+    requests.reserve(grant.count);
+    for (std::uint32_t i = 0; i < grant.count; ++i) {
+      const std::uint64_t lease_id = grant.lease_id + i;
+      const std::uint32_t trial = grant.trial + i;
+      // Every trial of the grant advances the cursor, run or not, so the
+      // next grant of this cell continues it.
+      const Rng stream = cursor.next();
+      if (i >= runnable) {
+        requests.push_back(msg_requeue(lease_id, "worker trial budget"));
+        completes.push_back(false);
+        continue;
       }
-      registry_.add_named("sweep.ran_rounds", stats.ran_rounds);
-      registry_.add_named("sweep.latency_evals", stats.latency_evals);
-      const Message response =
-          channel_->rpc(msg_complete(lease_id, cell, trial, outcome));
-      if (response.type() == "ack") {
+      sweep::TrialOutcome outcome;
+      std::string error;
+      if (run_trial(grant.cell, stream, outcome, error)) {
+        requests.push_back(
+            msg_complete(lease_id, grant.cell, trial, outcome));
+        completes.push_back(true);
+        continue;
+      }
+      // Local budget exhausted: hand the trial back for another worker.
+      ++report_.trials_requeued;
+      registry_.add_named("sweep.trial_failures", 1);
+      std::fprintf(stderr,
+                   "cid_sweep worker %s: trial (cell %u trial %u) FAILED "
+                   "after %d attempt(s): %s — requeueing\n",
+                   options_.name.c_str(), grant.cell, trial,
+                   std::max(1, options_.trial_max_attempts), error.c_str());
+      requests.push_back(msg_requeue(lease_id, error));
+      completes.push_back(false);
+    }
+    if (renewer_ != nullptr) renewer_->release_all();
+
+    const std::vector<Message> responses = channel_->pipeline(requests);
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      if (!completes[i]) continue;
+      if (responses[i].type() == "ack") {
         ++report_.trials_completed;
         registry_.add_named("sweep.trials_run", 1);
       } else {
@@ -326,11 +416,6 @@ class Worker {
         ++report_.leases_lost;
         registry_.add_named("sweep.leases_lost", 1);
       }
-      push_metrics();
-    } catch (const net_error& e) {
-      // Connection died around the closing RPC; the coordinator's TTL
-      // reclaim owns the lease now.
-      reconnect(e.what());
     }
   }
 
@@ -343,22 +428,20 @@ class Worker {
     for (const obs::CounterValue& c : registry_.snapshot().counters) {
       counters.emplace(c.name, c.value);
     }
-    try {
-      channel_->rpc(msg_metrics(counters));
-    } catch (const net_error& e) {
-      reconnect(e.what());
-    }
+    channel_->rpc(msg_metrics(counters));
   }
 
   void farewell() {
     if (channel_ == nullptr) return;
+    renewer_.reset();
     try {
       push_metrics();
       channel_->rpc(msg_bye());
     } catch (const net_error&) {
       // Already drained; a lost goodbye costs nothing.
+    } catch (const proto_error&) {
     }
-    channel_.reset();
+    disconnect();
   }
 
   const sweep::SweepGrid& grid_;
@@ -366,7 +449,9 @@ class Worker {
   std::size_t num_protocols_ = 0;
   std::uint64_t fingerprint_ = 0;
   std::vector<std::unique_ptr<sweep::ScenarioInstance>> instances_;
+  std::vector<std::optional<sweep::TrialStreamCursor>> cursors_;
   std::unique_ptr<Channel> channel_;
+  std::unique_ptr<Renewer> renewer_;  // after channel_: destroyed first
   std::int64_t worker_id_ = -1;
   obs::MetricsRegistry registry_;
   std::int64_t queue_wait_ns_ = 0;

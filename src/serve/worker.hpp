@@ -2,27 +2,39 @@
 //
 // run_worker() connects to a cid_serve coordinator, handshakes (protocol
 // version + grid fingerprint — both sides must be running the SAME grid),
-// then loops lease → run trial → complete until the coordinator reports
-// the grid drained. Trial execution reuses the local runner's machinery
-// verbatim: the Rng stream comes from sweep::derive_trial_rng (the same
-// TrialStreamCursor derivation run_sweep walks per cell), and failures
-// are retried with a fresh stream copy under the same attempt/backoff
-// policy — so a leased trial's outcome is bit-identical to what a local
-// --threads 1 run would record.
+// then loops lease → run the granted batch → complete until the
+// coordinator reports the grid drained. Trial execution reuses the local
+// runner's machinery verbatim: streams come from one
+// sweep::TrialStreamCursor per cell, carried from one grant to the next
+// (restarted only when a grant starts behind it), so a trial costs one
+// Rng::split, and failures are retried with a fresh stream copy under the
+// same attempt/backoff policy — a leased trial's outcome is bit-identical
+// to what a local --threads 1 run would record.
 //
-// A background renewer thread extends the lease at half-TTL intervals
-// while a long trial runs (the socket is a strict request/response
-// channel guarded by a mutex, so renewals interleave safely with the main
-// loop's RPCs). Lost leases are not an error: the completion is rejected
-// with lease_lost, counted, and the worker simply leases again — the
-// coordinator has already re-granted the trial elsewhere.
+// Batches: a grant carries up to kMaxGrantTrials consecutive trials of
+// one cell (the coordinator sizes it; see coordinator.hpp). The worker
+// runs them in order, then writes every trial's complete (or requeue)
+// frame in one send and reads the acks in order, holding the channel
+// throughout. A grant with count 0 or above kMaxGrantTrials, trials past
+// grid.trials, or a cell outside the grid is a protocol error: the worker
+// drops the connection and reconnects, and the coordinator reclaims the
+// leases. A worker killed mid-batch loses the whole batch (its leases are
+// unacked); the coordinator re-grants it, so at most one batch — about
+// 10 ms of work — runs twice, with the same bytes.
 //
-// Connection loss (including injected net.read/net.write faults) triggers
-// a bounded reconnect-and-rehandshake, HumbleNet-peer style; an in-flight
-// lease is abandoned to the coordinator's TTL reclaim. util::fault_crash
-// always propagates — a crash site kills the worker, it never retries.
+// One renewer thread per connection renews every held lease each
+// ttl * renew_fraction (renew_fraction = 0: no renewer); it stops before
+// a reconnect and before the farewell. Lost leases are not an error: the
+// completion is rejected with lease_lost, counted, and the worker leases
+// again — the coordinator has already re-granted the trial.
 //
-// After every completion (and at drain) the worker pushes its cumulative
+// Connection loss (including injected net.read/net.write faults) and
+// garbled frames trigger a bounded reconnect-and-rehandshake,
+// HumbleNet-peer style; the leases in flight are left to the
+// coordinator's reclaim. util::fault_crash always propagates — a crash
+// site kills the worker, it never retries.
+//
+// After every batch (and at drain) the worker pushes its cumulative
 // metrics_version-stamped counter snapshot (sweep.ran_rounds,
 // sweep.queue_wait_ns grant-wait, sweep.trial_failures, ...), which the
 // coordinator folds into the fleet-level /metrics exposition.
@@ -54,15 +66,15 @@ struct WorkerOptions {
   /// is a dead one.
   double recv_timeout_seconds = 30.0;
 
-  /// Renew outstanding leases every ttl*renew_fraction while a trial
-  /// runs; 0 disables the renewer thread (tests exercising expiry).
+  /// Renew every held lease each ttl*renew_fraction; 0 disables the
+  /// connection's renewer thread (tests exercising expiry).
   double renew_fraction = 0.5;
 
   /// Stop after this many completed trials (then bye); -1 = until
-  /// drained. Lets tests pin exactly which worker does how much work.
+  /// drained. Trials of a grant past the budget are requeued unrun.
   std::int64_t max_trials = -1;
 
-  /// Push the cumulative counter snapshot after each completion.
+  /// Push the cumulative counter snapshot after each batch.
   bool push_metrics = true;
 
   bool verbose = false;

@@ -23,6 +23,7 @@
 #include "sweep/shard.hpp"
 #include "util/assert.hpp"
 #include "util/fault.hpp"
+#include "util/parse_number.hpp"
 #include "util/timer.hpp"
 
 namespace cid::sweep {
@@ -183,7 +184,8 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
   jobs.reserve(num_cells * trials_per_cell);
   // Serial stream derivation: one cursor per cell, one split per trial —
   // a pure function of master_seed, so scheduling cannot perturb it, and
-  // the same streams derive_trial_rng (the cid_serve worker's path) gives.
+  // the same streams derive_trial_rng and the cid_serve worker's cursors
+  // give.
   // Calling derive_trial_rng per trial here would replay O(trials²) splits
   // per cell: 54M for 48 cells of 1500 trials, most of such a sweep's
   // set-up.
@@ -592,6 +594,93 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& options) {
     result.cells.push_back(std::move(row));
   }
   return result;
+}
+
+const char* const GridFlags::kUsage =
+    "  --scenario NAME   scenario to sweep (cid_sweep --list shows all)\n"
+    "  --grid SPEC       n axis: A:B:log[:K] | A:B:lin[:K] | v1,v2,...\n"
+    "                    (default 1000:100000:log)\n"
+    "  --protocols CSV   imitation,exploration,combined[:P]\n"
+    "                    (default imitation)\n"
+    "  --trials T        independent trials per cell, default 8\n"
+    "  --seed S          master seed, default 1\n"
+    "  --rounds N        round cap per trial, default 100000\n"
+    "  --check-interval C  stop-check stride, default 1\n"
+    "  --stop C          stable | nash | deltaeps:D,E (default "
+    "deltaeps:0.1,0.1;\n"
+    "                    asymmetric scenarios check deltaeps as the\n"
+    "                    stricter class-wise nu-stability)\n"
+    "  --engine E        aggregate (default) | perplayer\n"
+    "  --param K=V       scenario parameter (repeatable)\n"
+    "  --lambda L        protocol migration scale, default 0.25\n";
+
+GridFlags::GridFlags() {
+  grid_.ns = parse_grid_axis("1000:100000:log");
+  grid_.protocols = parse_protocol_list("imitation");
+}
+
+bool GridFlags::consume(int argc, char** argv, int& i) {
+  const std::string flag = argv[i];
+  const auto value = [&]() -> std::string {
+    if (i + 1 >= argc) throw std::runtime_error(flag + ": missing value");
+    return argv[++i];
+  };
+  DynamicsConfig& dynamics = grid_.dynamics;
+  if (flag == "--scenario") grid_.scenario.name = value();
+  else if (flag == "--grid") grid_.ns = parse_grid_axis(value());
+  else if (flag == "--protocols") grid_.protocols = parse_protocol_list(value());
+  else if (flag == "--trials") grid_.trials = parse_number<int>(flag, value());
+  else if (flag == "--seed") {
+    grid_.master_seed = parse_number<std::uint64_t>(flag, value());
+  } else if (flag == "--rounds") {
+    dynamics.max_rounds = parse_number<std::int64_t>(flag, value());
+  } else if (flag == "--check-interval") {
+    dynamics.check_interval = parse_number<std::int64_t>(flag, value());
+  } else if (flag == "--lambda") lambda_ = parse_number<double>(flag, value());
+  else if (flag == "--stop") {
+    const std::string v = value();
+    if (v == "stable") dynamics.stop = StopRule::kImitationStable;
+    else if (v == "nash") dynamics.stop = StopRule::kNash;
+    else if (v.rfind("deltaeps:", 0) == 0) {
+      dynamics.stop = StopRule::kDeltaEps;
+      if (std::sscanf(v.c_str(), "deltaeps:%lf,%lf", &dynamics.delta,
+                      &dynamics.eps) != 2) {
+        throw std::runtime_error("expected --stop deltaeps:D,E");
+      }
+    } else {
+      throw std::runtime_error("unknown stop condition: " + v);
+    }
+  } else if (flag == "--engine") {
+    const std::string v = value();
+    if (v == "aggregate") dynamics.mode = EngineMode::kAggregate;
+    else if (v == "perplayer") dynamics.mode = EngineMode::kPerPlayer;
+    else throw std::runtime_error("unknown engine: " + v);
+  } else if (flag == "--param") {
+    const std::string kv = value();
+    const auto eq = kv.find('=');
+    if (eq == std::string::npos || eq == 0) {
+      throw std::runtime_error("expected --param K=V");
+    }
+    grid_.scenario.params[kv.substr(0, eq)] = parse_number<double>(
+        "--param " + kv.substr(0, eq), kv.substr(eq + 1));
+  } else {
+    return false;
+  }
+  return true;
+}
+
+SweepGrid GridFlags::finish() const {
+  const auto fail = [](const char* what) { throw std::runtime_error(what); };
+  if (grid_.scenario.name.empty()) fail("--scenario is required");
+  if (grid_.trials < 1) fail("--trials must be >= 1");
+  if (grid_.dynamics.max_rounds < 0) fail("--rounds must be >= 0");
+  if (grid_.dynamics.check_interval < 1) {
+    fail("--check-interval must be >= 1");
+  }
+  if (lambda_ <= 0.0 || lambda_ > 1.0) fail("lambda out of (0,1]");
+  SweepGrid grid = grid_;
+  for (ProtocolSpec& protocol : grid.protocols) protocol.lambda = lambda_;
+  return grid;
 }
 
 }  // namespace cid::sweep

@@ -208,6 +208,9 @@ class TrialStreamCursor {
   /// The stream of the next trial (trial 0 first).
   Rng next();
 
+  /// The trial whose stream next() returns.
+  std::uint64_t next_trial() const noexcept { return next_trial_; }
+
  private:
   Rng cell_master_;
   std::uint64_t next_trial_ = 0;
@@ -217,9 +220,9 @@ class TrialStreamCursor {
 /// a TrialStreamCursor advanced trial + 1 times. Rng::split mutates the
 /// parent, so trial t's stream requires replaying splits 0..t-1 (O(trial)
 /// splits; a caller wanting every trial of a cell walks a cursor instead).
-/// The cid_serve worker derives each leased trial through this function,
-/// so a leased trial's stream can never drift from what the local runner
-/// would have drawn.
+/// The cid_serve worker walks a TrialStreamCursor across its grants, so a
+/// leased trial's stream can never drift from what the local runner would
+/// have drawn.
 Rng derive_trial_rng(std::uint64_t master_seed, std::uint32_t cell,
                      std::uint32_t trial);
 
@@ -233,5 +236,30 @@ std::vector<std::int64_t> parse_grid_axis(const std::string& spec);
 
 /// Parses a comma-separated protocol list, e.g. "imitation,combined:0.3".
 std::vector<ProtocolSpec> parse_protocol_list(const std::string& csv);
+
+/// The grid flags cid_sweep and cid_serve share, parsed by this one class
+/// so a coordinator and its workers cannot build different grids (the
+/// handshake and manifest resume compare grid fingerprints).
+class GridFlags {
+ public:
+  /// Their usage lines, for both tools' --help.
+  static const char* const kUsage;
+
+  /// Defaults: n = 1000:100000:log, imitation, lambda 0.25.
+  GridFlags();
+
+  /// When argv[i] is a grid flag, parses it and its value (advancing i)
+  /// and returns true; false for any other flag. Throws
+  /// std::runtime_error naming the flag on a missing or bad value.
+  bool consume(int argc, char** argv, int& i);
+
+  /// Range-checks the flags and returns the grid, --lambda applied to
+  /// every protocol. Throws std::runtime_error.
+  SweepGrid finish() const;
+
+ private:
+  SweepGrid grid_;
+  double lambda_ = 0.25;
+};
 
 }  // namespace cid::sweep

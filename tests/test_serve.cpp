@@ -27,6 +27,8 @@
 #include "persist/binio.hpp"
 #include "persist/manifest.hpp"
 #include "serve/coordinator.hpp"
+#include "serve/net.hpp"
+#include "serve/proto.hpp"
 #include "serve/worker.hpp"
 #include "sweep/runner.hpp"
 #include "util/fault.hpp"
@@ -320,6 +322,302 @@ TEST_F(Serve, ResumedManifestServesToCompletionWithoutWorkers) {
     EXPECT_EQ(report.trials_resumed, report.trials_total);
     EXPECT_EQ(report.leases_granted, 0u);
   }
+  EXPECT_EQ(persist::slurp_file(manifest), reference);
+  std::remove(manifest.c_str());
+}
+
+// ---- Batched leases ---------------------------------------------------------
+
+// One load-balancing cell of four short trials: a grant sized for 10 ms
+// of them is normally capped by the cell, so after a connection's first
+// trial its next grant is the other three.
+sweep::SweepGrid four_trial_grid() {
+  sweep::SweepGrid grid;
+  grid.scenario.name = "load-balancing";
+  grid.scenario.params = {{"m", 2.0}};
+  grid.protocols = sweep::parse_protocol_list("imitation");
+  grid.ns = {60};
+  grid.trials = 4;
+  grid.master_seed = 5;
+  grid.dynamics.max_rounds = 500;
+  return grid;
+}
+
+// A raw client connection; reads time out instead of hanging.
+Socket raw_connect(std::uint16_t port) {
+  Socket socket = tcp_connect("127.0.0.1", port);
+  set_recv_timeout(socket, 10.0);
+  return socket;
+}
+
+// One blocking request/response on a raw client socket.
+Message raw_rpc(const Socket& socket, const std::string& payload) {
+  send_frame(socket, encode_frame(payload));
+  FrameReader reader;
+  char buffer[4096];
+  for (;;) {
+    if (auto frame = reader.next()) return Message::parse(*frame);
+    const std::size_t got = read_some(socket, buffer, sizeof(buffer));
+    if (got == 0) throw net_error("coordinator closed before responding");
+    reader.feed(std::string_view(buffer, got));
+  }
+}
+
+// Reads until EOF; throws net_error (timeout) if the peer never closes.
+void expect_eof(const Socket& socket) {
+  char buffer[4096];
+  while (read_some(socket, buffer, sizeof(buffer)) != 0) {
+  }
+}
+
+// Runs `count` workers to the end. A raw connection stays open meanwhile:
+// the coordinator exits once the grid has drained and no connection is
+// left, so without it a worker that starts after the others drained a
+// small grid would find the port closed.
+std::vector<WorkerReport> run_fleet(const sweep::SweepGrid& grid,
+                                    std::uint16_t port, std::size_t count) {
+  Socket keeper = raw_connect(port);
+  std::vector<WorkerReport> workers(count);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < count; ++i) {
+    threads.emplace_back([&, i] {
+      WorkerOptions worker;
+      worker.port = port;
+      worker.name = "w" + std::to_string(i);
+      workers[i] = run_worker(grid, worker);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  keeper.close();
+  return workers;
+}
+
+// The fleet lands the local run's bytes with one, two and three workers.
+TEST_F(Serve, FleetManifestByteIdenticalForOneTwoAndThreeWorkers) {
+  for (const sweep::SweepGrid& grid : {load_balancing_grid(),
+                                       singleton_grid()}) {
+    const std::string reference =
+        reference_manifest_bytes(grid, "serve_sizes_ref.manifest");
+    for (std::size_t fleet = 1; fleet <= 3; ++fleet) {
+      SCOPED_TRACE(grid.scenario.name + " x" + std::to_string(fleet));
+      const std::string manifest = temp_path("serve_sizes.manifest");
+      std::remove(manifest.c_str());
+      std::promise<std::uint16_t> port_promise;
+      const CoordinatorOptions options =
+          coordinator_options(manifest, port_promise);
+      CoordinatorReport report;
+      std::thread coordinator([&] { report = serve_grid(grid, options); });
+      run_fleet(grid, port_promise.get_future().get(), fleet);
+      coordinator.join();
+      EXPECT_TRUE(report.complete);
+      EXPECT_EQ(report.leases_granted, report.trials_total);
+      EXPECT_EQ(persist::slurp_file(manifest), reference);
+      std::remove(manifest.c_str());
+    }
+  }
+}
+
+// A worker dies on the 3rd trial of a 3-trial batch. The batch's leases
+// were never acked, so exactly those three are reclaimed as disconnects
+// and re-granted, and the bytes do not change.
+TEST_F(Serve, WorkerKilledMidBatchLosesExactlyThatBatch) {
+  const sweep::SweepGrid grid = four_trial_grid();
+  const std::string reference =
+      reference_manifest_bytes(grid, "serve_batch_kill_ref.manifest");
+  const std::string manifest = temp_path("serve_batch_kill.manifest");
+  util::set_fault_crash_handler(+[](const char* site) {
+    throw util::fault_crash(std::string("injected kill at ") + site);
+  });
+
+  // Grant 1 is trial 0 alone (sweep.trial hit 1); grant 2 is normally the
+  // rest of the cell, trials 1-3 (hits 2-4), so hit 4 kills the worker on
+  // its 3rd trial. Batch sizes follow measured trial times, though, and a
+  // starved scheduler can split the cell 1+2+1 instead. Whatever the
+  // split, the kill is on the cell's last trial, so the dying batch is
+  // exactly what the doomed worker had not got acked. Attempts repeat
+  // until one kill lands on a 3-trial batch.
+  bool third_of_three = false;
+  for (int attempt = 0; attempt < 8 && !third_of_three; ++attempt) {
+    SCOPED_TRACE("attempt " + std::to_string(attempt));
+    std::remove(manifest.c_str());
+    util::configure_faults("sweep.trial:crash:hit=4");
+    std::promise<std::uint16_t> port_promise;
+    const CoordinatorOptions options =
+        coordinator_options(manifest, port_promise);
+    CoordinatorReport report;
+    std::thread coordinator([&] { report = serve_grid(grid, options); });
+    const std::uint16_t port = port_promise.get_future().get();
+    WorkerOptions doomed;
+    doomed.port = port;
+    doomed.name = "doomed";
+    EXPECT_THROW(run_worker(grid, doomed), util::fault_crash);
+
+    WorkerOptions relief;
+    relief.port = port;
+    relief.name = "relief";
+    const WorkerReport relief_report = run_worker(grid, relief);
+    coordinator.join();
+
+    EXPECT_TRUE(report.complete);
+    EXPECT_GE(report.leases_disconnected, 1u);
+    EXPECT_EQ(report.leases_expired, 0u);
+    EXPECT_EQ(report.leases_granted,
+              report.trials_total + report.leases_disconnected);
+    // Only the dying batch runs twice: the relief lands exactly it.
+    EXPECT_EQ(relief_report.trials_completed, report.leases_disconnected);
+    EXPECT_EQ(persist::slurp_file(manifest), reference);
+    third_of_three = report.leases_disconnected == 3;
+  }
+  EXPECT_TRUE(third_of_three);
+  std::remove(manifest.c_str());
+}
+
+// A version-1 worker is turned away at the handshake with an explicit
+// error, then the connection closes.
+TEST_F(Serve, VersionOneHelloGetsMismatchAndCleanClose) {
+  const sweep::SweepGrid grid = four_trial_grid();
+  const std::string manifest = temp_path("serve_v1.manifest");
+  std::remove(manifest.c_str());
+  std::promise<std::uint16_t> port_promise;
+  const CoordinatorOptions options =
+      coordinator_options(manifest, port_promise);
+  std::thread coordinator([&] { serve_grid(grid, options); });
+  const std::uint16_t port = port_promise.get_future().get();
+  {
+    const Socket s = raw_connect(port);
+    const Message reply = raw_rpc(
+        s, "{\"type\":\"hello\",\"v\":1,\"fingerprint\":\"" +
+               fingerprint_hex(persist::grid_fingerprint(grid)) +
+               "\",\"worker\":\"v1\"}");
+    EXPECT_EQ(reply.type(), "error");
+    EXPECT_NE(reply.get_string("message").find("protocol version mismatch"),
+              std::string::npos);
+    EXPECT_NO_THROW(expect_eof(s));
+  }
+  WorkerOptions worker;
+  worker.port = port;
+  EXPECT_TRUE(run_worker(grid, worker).drained);
+  coordinator.join();
+  std::remove(manifest.c_str());
+}
+
+// A fresh connection's first grant is one trial. After it completes
+// that trial, the next grant continues the cell — up to the cell's other
+// three trials, sized by the measured hold — and closing the connection
+// hands exactly that batch back.
+TEST_F(Serve, FirstGrantOnAFreshConnectionCarriesOneTrial) {
+  const sweep::SweepGrid grid = four_trial_grid();
+  const std::string reference =
+      reference_manifest_bytes(grid, "serve_first_ref.manifest");
+  const std::string manifest = temp_path("serve_first.manifest");
+  std::remove(manifest.c_str());
+  std::promise<std::uint16_t> port_promise;
+  const CoordinatorOptions options =
+      coordinator_options(manifest, port_promise);
+  CoordinatorReport report;
+  std::thread coordinator([&] { report = serve_grid(grid, options); });
+  const std::uint16_t port = port_promise.get_future().get();
+  std::int64_t second_count = 0;
+  {
+    const Socket s = raw_connect(port);
+    EXPECT_EQ(raw_rpc(s, msg_hello(persist::grid_fingerprint(grid), "raw"))
+                  .type(),
+              "welcome");
+    const Message first = raw_rpc(s, msg_lease());
+    ASSERT_EQ(first.type(), "grant");
+    EXPECT_EQ(first.get_int("trial"), 0);
+    EXPECT_EQ(first.get_int("count"), 1);
+
+    // Complete trial 0 with the outcome a worker would send.
+    Rng stream = sweep::derive_trial_rng(grid.master_seed, 0, 0);
+    const sweep::TrialOutcome outcome =
+        sweep::make_scenario(grid.scenario, grid.ns[0])
+            ->run_trial(grid.protocols[0], grid.dynamics, stream, nullptr);
+    const auto first_lease =
+        static_cast<std::uint64_t>(first.get_int("lease_id"));
+    EXPECT_EQ(raw_rpc(s, msg_complete(first_lease, 0, 0, outcome)).type(),
+              "ack");
+
+    const Message second = raw_rpc(s, msg_lease());
+    ASSERT_EQ(second.type(), "grant");
+    EXPECT_EQ(second.get_int("lease_id"),
+              static_cast<std::int64_t>(first_lease) + 1);
+    EXPECT_EQ(second.get_int("trial"), 1);
+    second_count = second.get_int("count");
+    EXPECT_GE(second_count, 1);
+    EXPECT_LE(second_count, 3);
+  }  // closed holding the second grant: reclaimed and re-granted
+
+  WorkerOptions worker;
+  worker.port = port;
+  EXPECT_EQ(run_worker(grid, worker).trials_completed, 3u);
+  coordinator.join();
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.leases_disconnected,
+            static_cast<std::size_t>(second_count));
+  EXPECT_EQ(persist::slurp_file(manifest), reference);
+  std::remove(manifest.c_str());
+}
+
+// Three workers on a four-trial grid: every worker's first grant is one
+// trial and the last trial goes out alone (its even share is one), so no
+// trial is leased twice.
+TEST_F(Serve, ThreeWorkersDrainAFourTrialGridWithOneLeasePerTrial) {
+  const sweep::SweepGrid grid = four_trial_grid();
+  const std::string reference =
+      reference_manifest_bytes(grid, "serve_four_ref.manifest");
+  const std::string manifest = temp_path("serve_four.manifest");
+  std::remove(manifest.c_str());
+  std::promise<std::uint16_t> port_promise;
+  const CoordinatorOptions options =
+      coordinator_options(manifest, port_promise);
+  CoordinatorReport report;
+  std::thread coordinator([&] { report = serve_grid(grid, options); });
+  const std::vector<WorkerReport> workers =
+      run_fleet(grid, port_promise.get_future().get(), 3);
+  coordinator.join();
+
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.trials_total, 4u);
+  EXPECT_EQ(report.leases_granted, report.trials_total);
+  std::size_t completed = 0;
+  for (const WorkerReport& w : workers) {
+    EXPECT_TRUE(w.drained);
+    completed += w.trials_completed;
+  }
+  EXPECT_EQ(completed, report.trials_total);
+  EXPECT_EQ(persist::slurp_file(manifest), reference);
+  std::remove(manifest.c_str());
+}
+
+// The connection's renewer keeps a held lease alive past its TTL: the
+// first trial fails once and its retry waits out the whole TTL, yet no
+// lease expires and nothing is granted twice.
+TEST_F(Serve, RenewerKeepsAHeldLeaseAlivePastItsTtl) {
+  const sweep::SweepGrid grid = four_trial_grid();
+  const std::string reference =
+      reference_manifest_bytes(grid, "serve_renew_ref.manifest");
+  const std::string manifest = temp_path("serve_renew.manifest");
+  std::remove(manifest.c_str());
+  std::promise<std::uint16_t> port_promise;
+  CoordinatorOptions options = coordinator_options(manifest, port_promise);
+  options.lease_ttl_seconds = 0.3;
+  util::configure_faults("sweep.trial:err:hit=1");
+
+  CoordinatorReport report;
+  std::thread coordinator([&] { report = serve_grid(grid, options); });
+  WorkerOptions worker;
+  worker.port = port_promise.get_future().get();
+  worker.renew_fraction = 0.2;      // renew every 60 ms
+  worker.retry_backoff_ms = 500.0;  // the retry waits out the TTL
+  const WorkerReport worker_report = run_worker(grid, worker);
+  coordinator.join();
+
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.leases_expired, 0u);
+  EXPECT_EQ(report.leases_granted, report.trials_total);
+  EXPECT_EQ(worker_report.trial_retries, 1);
+  EXPECT_EQ(worker_report.leases_lost, 0u);
   EXPECT_EQ(persist::slurp_file(manifest), reference);
   std::remove(manifest.c_str());
 }

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <future>
 #include <limits>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -265,6 +266,202 @@ TEST(Messages, AccessorsNameTheOffendingField) {
   }
 }
 
+TEST(Messages, GrantCarriesABatchAndIsCheckedAgainstTheGrid) {
+  // A grid of 4 cells x 10 trials.
+  const Grant grant =
+      decode_grant(Message::parse(msg_grant(41, 3, 6, 4, 30000)), 4, 10);
+  EXPECT_EQ(grant.lease_id, 41u);
+  EXPECT_EQ(grant.cell, 3u);
+  EXPECT_EQ(grant.trial, 6u);
+  EXPECT_EQ(grant.count, 4u);
+  EXPECT_EQ(grant.ttl_ms, 30000);
+
+  const auto grant_json = [](const std::string& cell,
+                             const std::string& trial,
+                             const std::string& count) {
+    return Message::parse("{\"type\":\"grant\",\"lease_id\":1,\"cell\":" +
+                          cell + ",\"trial\":" + trial + ",\"count\":" +
+                          count + ",\"ttl_ms\":1000}");
+  };
+  EXPECT_NO_THROW(decode_grant(grant_json("0", "0", "10"), 4, 10));
+  EXPECT_THROW(decode_grant(grant_json("0", "0", "0"), 4, 10), proto_error);
+  EXPECT_THROW(decode_grant(grant_json("0", "0", "65"), 4, 100),
+               proto_error);
+  EXPECT_THROW(decode_grant(grant_json("0", "7", "4"), 4, 10), proto_error);
+  EXPECT_THROW(decode_grant(grant_json("0", "-1", "1"), 4, 10), proto_error);
+  EXPECT_THROW(decode_grant(grant_json("4", "0", "1"), 4, 10), proto_error);
+  EXPECT_THROW(decode_grant(grant_json("-1", "0", "1"), 4, 10), proto_error);
+  EXPECT_THROW(
+      decode_grant(grant_json("0", "9223372036854775807", "64"), 4, 10),
+      proto_error);
+  EXPECT_THROW(decode_grant(Message::parse(msg_grant(1, 0, 0, 1, 0)), 4, 10),
+               proto_error);  // a zero TTL
+}
+
+// ---- Mutation probe of the frame and message parsers ------------------------
+
+// A byte stream as one peer writes it, with the offset of each frame's
+// length prefix.
+struct WireStream {
+  std::string bytes;
+  std::vector<std::size_t> prefixes;
+
+  void add(const std::string& payload) {
+    prefixes.push_back(bytes.size());
+    bytes += encode_frame(payload);
+  }
+};
+
+// Every v2 message, one per stream, plus the two multi-frame writes a
+// batch produces: the worker's pipelined completions and the
+// coordinator's buffered acks.
+std::vector<WireStream> v2_streams() {
+  sweep::TrialOutcome outcome;
+  outcome.rounds = 812.0;
+  outcome.converged = true;
+  outcome.movers = 12345;
+  outcome.potential = 4321.5;
+  outcome.social_cost = -0.0;
+  const std::vector<std::string> messages = {
+      msg_hello(0x0123456789abcdefULL, "w-1"),
+      msg_welcome(3, 64, 5),
+      msg_error("protocol version mismatch: coordinator 2, worker 1"),
+      msg_lease(),
+      msg_grant(17, 3, 10, static_cast<std::uint32_t>(kMaxGrantTrials),
+                30000),
+      msg_wait(100),
+      msg_drained(),
+      msg_renew(17),
+      msg_renewed(17),
+      msg_lease_lost(17),
+      msg_complete(17, 3, 10, outcome),
+      msg_requeue(18, "worker trial budget"),
+      msg_metrics({{"sweep.trials_run", 12}, {"sweep.queue_wait_ns", 345}}),
+      msg_bye(),
+      msg_ack(),
+  };
+  std::vector<WireStream> streams;
+  for (const std::string& message : messages) {
+    streams.emplace_back();
+    streams.back().add(message);
+  }
+  WireStream completions;
+  WireStream acks;
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    completions.add(msg_complete(17 + i, 3, 10 + i, outcome));
+    acks.add(i == 2 ? msg_lease_lost(17 + i) : msg_ack());
+  }
+  completions.add(msg_requeue(22, "injected trial fault"));
+  acks.add(msg_ack());
+  streams.push_back(completions);
+  streams.push_back(acks);
+  return streams;
+}
+
+// Reads every field a peer reads from a message of this type.
+void decode_like_a_peer(const Message& m) {
+  const std::string& type = m.type();
+  if (type == "hello") {
+    m.get_int("v");
+    decode_fingerprint(m);
+    m.get_string("worker");
+  } else if (type == "welcome") {
+    m.get_int("worker_id");
+    m.get_int("trials_total");
+    m.get_int("trials_done");
+  } else if (type == "error") {
+    m.get_string("message");
+  } else if (type == "grant") {
+    decode_grant(m, 4, 80);
+  } else if (type == "wait") {
+    m.get_int("backoff_ms");
+  } else if (type == "renew" || type == "renewed" || type == "lease_lost") {
+    m.get_int("lease_id");
+  } else if (type == "complete") {
+    m.get_int("lease_id");
+    m.get_int("cell");
+    m.get_int("trial");
+    decode_outcome(m);
+  } else if (type == "requeue") {
+    m.get_int("lease_id");
+    m.get_string("reason");
+  } else if (type == "metrics") {
+    m.get_int("metrics_version");
+    m.get_counters("counters");
+  }
+}
+
+// About 2 000 mutants of every v2 stream — byte flips, truncations and
+// length-prefix edits, fed in random chunks — must each decode or throw
+// proto_error. Any other exception fails the test; a crash or hang kills
+// it. The seed is fixed, so a failure reproduces.
+TEST(Mutation, EveryMutantOfEveryV2StreamDecodesOrThrowsProtoError) {
+  const std::vector<WireStream> streams = v2_streams();
+  std::mt19937_64 rng(0x5eed2026);
+  const auto below = [&rng](std::size_t bound) {
+    return static_cast<std::size_t>(rng() % bound);
+  };
+  constexpr int kMutants = 2000;
+  int decoded = 0;
+  int rejected = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const WireStream& stream = streams[static_cast<std::size_t>(i) %
+                                       streams.size()];
+    std::string bytes = stream.bytes;
+    switch (below(3)) {
+      case 0:  // flip 1-4 bytes
+        for (std::size_t flips = 1 + below(4); flips > 0; --flips) {
+          bytes[below(bytes.size())] ^=
+              static_cast<char>(1 + below(255));
+        }
+        break;
+      case 1:  // truncate
+        bytes.resize(below(bytes.size()));
+        break;
+      default: {  // rewrite one frame's length prefix
+        const std::size_t at = stream.prefixes[below(stream.prefixes.size())];
+        std::uint32_t length = 0;
+        for (std::size_t b = 0; b < 4; ++b) {
+          length |= static_cast<std::uint32_t>(
+                        static_cast<unsigned char>(bytes[at + b]))
+                    << (8 * b);
+        }
+        const std::uint32_t edits[] = {0u,
+                                       length - 1,
+                                       length + 1,
+                                       length / 2,
+                                       kMaxFrameBytes,
+                                       kMaxFrameBytes + 1,
+                                       0xFFFFFFFFu,
+                                       static_cast<std::uint32_t>(rng())};
+        const std::uint32_t edited = edits[below(std::size(edits))];
+        for (std::size_t b = 0; b < 4; ++b) {
+          bytes[at + b] = static_cast<char>((edited >> (8 * b)) & 0xFF);
+        }
+      }
+    }
+    SCOPED_TRACE("mutant " + std::to_string(i));
+    try {
+      FrameReader reader;
+      for (std::size_t pos = 0; pos < bytes.size();) {
+        const std::size_t chunk = 1 + below(bytes.size() - pos);
+        reader.feed(std::string_view(bytes).substr(pos, chunk));
+        pos += chunk;
+        while (auto frame = reader.next()) {
+          decode_like_a_peer(Message::parse(*frame));
+        }
+      }
+      ++decoded;
+    } catch (const proto_error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(decoded + rejected, kMutants);
+  // Both outcomes occur: the probe is neither all-garbage nor no-op.
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(rejected, 0);
+}
+
 // ---- Live handshake rejection (loopback) ------------------------------------
 
 // A one-cell, one-trial grid: enough for a coordinator to serve while a
@@ -369,6 +566,68 @@ TEST(Handshake, MismatchesAndGarbageGetCleanClosesNotHangs) {
   EXPECT_EQ(report.trials_completed, 1u);
   coordinator.join();
   std::remove(manifest.c_str());
+}
+
+// One frame from a raw socket (the peer sends nothing more until it is
+// answered, so a fresh reader cannot swallow a second frame).
+Message read_message(const Socket& socket) {
+  FrameReader reader;
+  char buffer[4096];
+  for (;;) {
+    if (auto frame = reader.next()) return Message::parse(*frame);
+    const std::size_t got = read_some(socket, buffer, sizeof(buffer));
+    if (got == 0) throw net_error("peer closed before sending a frame");
+    reader.feed(std::string_view(buffer, got));
+  }
+}
+
+// A coordinator that grants trials the worker's grid does not have: the
+// worker treats each such grant as a poisoned connection — it drops the
+// connection and reconnects, leaving the leases to the coordinator's
+// reclaim — instead of running past its grid or looping on a huge count.
+TEST(Handshake, WorkerDropsTheConnectionOnAGrantOutsideItsGrid) {
+  const sweep::SweepGrid grid = tiny_grid();  // 1 cell x 1 trial
+  TcpListener listener = TcpListener::listen_on("127.0.0.1", 0);
+  WorkerReport report;
+  std::thread worker_thread([&] {
+    WorkerOptions worker;
+    worker.port = listener.port();
+    worker.recv_timeout_seconds = 10.0;
+    report = run_worker(grid, worker);
+  });
+
+  const std::vector<std::string> bad_grants = {
+      msg_grant(1, 0, 0, 2, 1000),    // trial + count past grid.trials
+      msg_grant(2, 1, 0, 1, 1000),    // cell outside the grid
+      msg_grant(3, 0, 0, 100, 1000),  // count above kMaxGrantTrials
+      msg_grant(4, 0, 0, 0, 1000),    // empty batch
+  };
+  for (const std::string& grant : bad_grants) {
+    SCOPED_TRACE(grant);
+    const Socket conn = listener.accept();
+    set_recv_timeout(conn, 10.0);
+    EXPECT_EQ(read_message(conn).type(), "hello");
+    send_frame(conn, encode_frame(msg_welcome(1, 1, 0)));
+    EXPECT_EQ(read_message(conn).type(), "lease");
+    send_frame(conn, encode_frame(grant));
+    EXPECT_NO_THROW(expect_eof(conn));  // no completion, just a close
+  }
+  // The last connection drains cleanly.
+  const Socket conn = listener.accept();
+  set_recv_timeout(conn, 10.0);
+  EXPECT_EQ(read_message(conn).type(), "hello");
+  send_frame(conn, encode_frame(msg_welcome(1, 1, 0)));
+  EXPECT_EQ(read_message(conn).type(), "lease");
+  send_frame(conn, encode_frame(msg_drained()));
+  EXPECT_EQ(read_message(conn).type(), "metrics");
+  send_frame(conn, encode_frame(msg_ack()));
+  EXPECT_EQ(read_message(conn).type(), "bye");
+  send_frame(conn, encode_frame(msg_ack()));
+  worker_thread.join();
+
+  EXPECT_TRUE(report.drained);
+  EXPECT_EQ(report.reconnects, bad_grants.size());
+  EXPECT_EQ(report.trials_completed, 0u);
 }
 
 }  // namespace

@@ -303,6 +303,62 @@ TEST(SweepGridParsing, Rejections) {
   EXPECT_THROW(parse_grid_axis("n=1:10:log:1"), std::runtime_error);
 }
 
+// The grid flags cid_sweep and cid_serve both parse through GridFlags:
+// every flag lands in the grid, --lambda reaches every protocol whatever
+// the flag order, and a bad value is an error, not a guess.
+TEST(SweepGridParsing, GridFlagsSharedByTheTools) {
+  const auto parse = [](std::vector<std::string> args) {
+    args.insert(args.begin(), "tool");
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    GridFlags flags;
+    for (int i = 1; i < static_cast<int>(argv.size()); ++i) {
+      if (!flags.consume(static_cast<int>(argv.size()), argv.data(), i)) {
+        throw std::runtime_error("not a grid flag: " + std::string(argv[i]));
+      }
+    }
+    return flags.finish();
+  };
+  const SweepGrid grid = parse(
+      {"--lambda", "0.5", "--scenario", "load-balancing", "--param", "m=4",
+       "--grid", "100,200", "--protocols", "imitation,combined",
+       "--trials", "3", "--seed", "9", "--rounds", "50",
+       "--check-interval", "5", "--stop", "deltaeps:0.2,0.3", "--engine",
+       "perplayer"});
+  EXPECT_EQ(grid.scenario.name, "load-balancing");
+  EXPECT_EQ(grid.scenario.params.at("m"), 4.0);
+  EXPECT_EQ(grid.ns, (std::vector<std::int64_t>{100, 200}));
+  ASSERT_EQ(grid.protocols.size(), 2u);
+  for (const ProtocolSpec& protocol : grid.protocols) {
+    EXPECT_EQ(protocol.lambda, 0.5);
+  }
+  EXPECT_EQ(grid.trials, 3);
+  EXPECT_EQ(grid.master_seed, 9u);
+  EXPECT_EQ(grid.dynamics.max_rounds, 50);
+  EXPECT_EQ(grid.dynamics.check_interval, 5);
+  EXPECT_EQ(grid.dynamics.stop, StopRule::kDeltaEps);
+  EXPECT_EQ(grid.dynamics.delta, 0.2);
+  EXPECT_EQ(grid.dynamics.eps, 0.3);
+  EXPECT_EQ(grid.dynamics.mode, EngineMode::kPerPlayer);
+
+  const std::vector<std::vector<std::string>> bad = {
+      {"--grid", "100"},                                  // no scenario
+      {"--scenario", "x", "--trials"},                    // missing value
+      {"--scenario", "x", "--trials", "0"},
+      {"--scenario", "x", "--rounds", "-1"},
+      {"--scenario", "x", "--check-interval", "0"},
+      {"--scenario", "x", "--lambda", "1.5"},
+      {"--scenario", "x", "--seed", "3abc"},
+      {"--scenario", "x", "--stop", "deltaeps:0.1"},
+      {"--scenario", "x", "--engine", "fast"},
+      {"--scenario", "x", "--param", "=4"},
+  };
+  for (const auto& args : bad) {
+    SCOPED_TRACE(args.back());
+    EXPECT_THROW(parse(args), std::runtime_error);
+  }
+}
+
 TEST(SweepProtocols, ParsingAndConstruction) {
   const auto specs = parse_protocol_list("imitation,exploration,combined:0.3");
   ASSERT_EQ(specs.size(), 3u);

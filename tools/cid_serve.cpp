@@ -54,18 +54,7 @@ using namespace cid;
       "usage: cid_serve --scenario NAME --manifest PATH [options]\n"
       "  grid (must match the workers' flags; the handshake checks the\n"
       "  grid fingerprint):\n"
-      "  --scenario NAME   scenario to sweep\n"
-      "  --grid SPEC       n axis: A:B:log[:K] | A:B:lin[:K] | v1,v2,...\n"
-      "                    (default 1000:100000:log)\n"
-      "  --protocols CSV   imitation,exploration,combined[:P]\n"
-      "  --trials T        trials per cell, default 8\n"
-      "  --seed S          master seed, default 1\n"
-      "  --rounds N        round cap per trial, default 100000\n"
-      "  --check-interval C  stop-check stride, default 1\n"
-      "  --stop C          stable | nash | deltaeps:D,E\n"
-      "  --engine E        aggregate (default) | perplayer\n"
-      "  --param K=V       scenario parameter (repeatable)\n"
-      "  --lambda L        protocol migration scale, default 0.25\n"
+      "%s"
       "  serving:\n"
       "  --manifest PATH   live append manifest (required; an existing\n"
       "                    file resumes — its trials are never re-granted)\n"
@@ -90,7 +79,8 @@ using namespace cid;
       "  other:\n"
       "  --inject-faults SPEC  arm deterministic fault injection (sites\n"
       "                    net.accept, serve.lease_expire, ...)\n"
-      "  --verbose         per-event log on stderr\n");
+      "  --verbose         per-event log on stderr\n",
+      sweep::GridFlags::kUsage);
   std::exit(error == nullptr ? 0 : 2);
 }
 
@@ -102,9 +92,7 @@ struct Options {
 
 Options parse_args(int argc, char** argv) {
   Options opt;
-  opt.grid.ns = sweep::parse_grid_axis("1000:100000:log");
-  opt.grid.protocols = sweep::parse_protocol_list("imitation");
-  double lambda = 0.25;
+  sweep::GridFlags grid;
 
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) usage("missing value for flag");
@@ -119,47 +107,7 @@ Options parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") usage(nullptr);
-    else if (flag == "--scenario") opt.grid.scenario.name = need_value(i);
-    else if (flag == "--grid") {
-      opt.grid.ns = sweep::parse_grid_axis(need_value(i));
-    } else if (flag == "--protocols") {
-      opt.grid.protocols = sweep::parse_protocol_list(need_value(i));
-    } else if (flag == "--trials") read_number(i, opt.grid.trials);
-    else if (flag == "--seed") {
-      read_number(i, opt.grid.master_seed);
-    } else if (flag == "--rounds") {
-      read_number(i, opt.grid.dynamics.max_rounds);
-    } else if (flag == "--check-interval") {
-      read_number(i, opt.grid.dynamics.check_interval);
-    } else if (flag == "--stop") {
-      const std::string v = need_value(i);
-      if (v == "stable") {
-        opt.grid.dynamics.stop = sweep::StopRule::kImitationStable;
-      } else if (v == "nash") {
-        opt.grid.dynamics.stop = sweep::StopRule::kNash;
-      } else if (v.rfind("deltaeps:", 0) == 0) {
-        opt.grid.dynamics.stop = sweep::StopRule::kDeltaEps;
-        if (std::sscanf(v.c_str(), "deltaeps:%lf,%lf",
-                        &opt.grid.dynamics.delta,
-                        &opt.grid.dynamics.eps) != 2) {
-          usage("expected --stop deltaeps:D,E");
-        }
-      } else {
-        usage("unknown stop condition");
-      }
-    } else if (flag == "--engine") {
-      const std::string v = need_value(i);
-      if (v == "aggregate") opt.grid.dynamics.mode = EngineMode::kAggregate;
-      else if (v == "perplayer") {
-        opt.grid.dynamics.mode = EngineMode::kPerPlayer;
-      } else usage("unknown engine");
-    } else if (flag == "--param") {
-      const std::string kv = need_value(i);
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos || eq == 0) usage("expected --param K=V");
-      opt.grid.scenario.params[kv.substr(0, eq)] = parse_number<double>(
-          "--param " + kv.substr(0, eq), kv.substr(eq + 1));
-    } else if (flag == "--lambda") read_number(i, lambda);
+    else if (grid.consume(argc, argv, i)) continue;
     else if (flag == "--manifest") opt.serve.manifest_path = need_value(i);
     else if (flag == "--final-manifest") {
       opt.serve.final_manifest_path = need_value(i);
@@ -192,16 +140,14 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--verbose") opt.serve.verbose = true;
     else usage(("unknown flag: " + flag).c_str());
   }
-  if (opt.grid.scenario.name.empty()) usage("--scenario is required");
+  opt.grid = grid.finish();
   if (opt.serve.manifest_path.empty()) usage("--manifest is required");
-  if (opt.grid.trials < 1) usage("--trials must be >= 1");
   if (opt.serve.lease_ttl_seconds <= 0.0) {
     usage("--lease-ttl must be > 0");
   }
   if (opt.serve.tick_seconds <= 0.0) usage("--tick must be > 0");
   if (opt.serve.max_requeues < 1) usage("--max-requeues must be >= 1");
   if (opt.serve.max_seconds < 0.0) usage("--max-seconds must be >= 0");
-  if (lambda <= 0.0 || lambda > 1.0) usage("lambda out of (0,1]");
   if (!opt.fault_spec.empty()) {
     util::configure_faults(opt.fault_spec);
     if (!util::kFaultsCompiled) {
@@ -210,7 +156,6 @@ Options parse_args(int argc, char** argv) {
                    "--inject-faults accepted but inert\n");
     }
   }
-  for (auto& protocol : opt.grid.protocols) protocol.lambda = lambda;
   return opt;
 }
 

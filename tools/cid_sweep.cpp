@@ -52,11 +52,11 @@
 //
 // Worker mode (src/serve/worker.hpp): --connect HOST:PORT turns this
 // process into a lease-protocol worker for a cid_serve coordinator
-// running the SAME grid flags (the handshake compares grid fingerprints).
-// Trials are leased one at a time, run through the identical
-// retry/backoff machinery with the identical derive_trial_rng streams,
-// and streamed back with the worker's metrics_version-stamped registry
-// snapshot; the coordinator owns the manifest, so --manifest/--out/--shard
+// running the SAME grid flags (sweep::GridFlags parses them for both
+// tools; the handshake compares grid fingerprints). Trials are leased in
+// batches, run through the identical retry/backoff machinery with the
+// identical per-cell trial streams, and streamed back with the worker's
+// metrics_version-stamped registry snapshot; the coordinator owns the manifest, so --manifest/--out/--shard
 // do not combine with --connect.
 #include <cstdio>
 #include <cstdlib>
@@ -83,26 +83,11 @@ using namespace cid;
   std::fprintf(
       stderr,
       "usage: cid_sweep --scenario NAME [options]\n"
-      "  --scenario NAME   scenario to sweep (--list shows all)\n"
-      "  --grid SPEC       n axis: A:B:log[:K] | A:B:lin[:K] | v1,v2,...\n"
-      "                    (default 1000:100000:log)\n"
-      "  --protocols CSV   imitation,exploration,combined[:P]\n"
-      "                    (default imitation)\n"
-      "  --trials T        independent trials per cell, default 8\n"
+      "%s"
       "  --threads K       worker threads, 0 = hardware, default 0\n"
-      "  --seed S          master seed, default 1\n"
-      "  --rounds N        round cap per trial, default 100000\n"
-      "  --check-interval C  stop-check stride, default 1\n"
-      "  --stop C          stable | nash | deltaeps:D,E (default "
-      "deltaeps:0.1,0.1;\n"
-      "                    asymmetric scenarios check deltaeps as the\n"
-      "                    stricter class-wise nu-stability)\n"
-      "  --engine E        aggregate (default) | perplayer\n"
       "  --row-threads K   threads for the per-origin row fills INSIDE one\n"
       "                    round (default 1; trials stay bitwise identical\n"
       "                    — prefer --threads unless single trials are huge)\n"
-      "  --param K=V       scenario parameter (repeatable)\n"
-      "  --lambda L        protocol migration scale, default 0.25\n"
       "  --out PREFIX      write PREFIX_{trials,cells}.{csv,jsonl}\n"
       "  --list            list scenarios and exit\n"
       "  --manifest PATH   resumable sweep: record completed trials in a\n"
@@ -168,7 +153,8 @@ using namespace cid;
       "                    --max-new-trials bounds how many leases this\n"
       "                    worker takes\n"
       "  --worker-name S   name reported to the coordinator (diagnostics;\n"
-      "                    default cid_sweep)\n");
+      "                    default cid_sweep)\n",
+      sweep::GridFlags::kUsage);
   std::exit(error == nullptr ? 0 : 2);
 }
 
@@ -198,10 +184,9 @@ struct Options {
 
 Options parse_args(int argc, char** argv) {
   Options opt;
-  opt.grid.ns = sweep::parse_grid_axis("1000:100000:log");
-  opt.grid.protocols = sweep::parse_protocol_list("imitation");
+  sweep::GridFlags grid;
+  int row_threads = 1;
   opt.run.threads = 0;
-  double lambda = 0.25;
 
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) usage("missing value for flag");
@@ -219,43 +204,12 @@ Options parse_args(int argc, char** argv) {
     else if (flag == "--list") {
       list_scenarios();
       std::exit(0);
-    } else if (flag == "--scenario") opt.grid.scenario.name = need_value(i);
-    else if (flag == "--grid") {
-      opt.grid.ns = sweep::parse_grid_axis(need_value(i));
-    } else if (flag == "--protocols") {
-      opt.grid.protocols = sweep::parse_protocol_list(need_value(i));
-    } else if (flag == "--trials") read_number(i, opt.grid.trials);
-    else if (flag == "--threads") read_number(i, opt.run.threads);
-    else if (flag == "--seed") {
-      read_number(i, opt.grid.master_seed);
-    } else if (flag == "--rounds") {
-      read_number(i, opt.grid.dynamics.max_rounds);
-    } else if (flag == "--check-interval") {
-      read_number(i, opt.grid.dynamics.check_interval);
-    } else if (flag == "--stop") {
-      const std::string v = need_value(i);
-      if (v == "stable") {
-        opt.grid.dynamics.stop = sweep::StopRule::kImitationStable;
-      } else if (v == "nash") {
-        opt.grid.dynamics.stop = sweep::StopRule::kNash;
-      } else if (v.rfind("deltaeps:", 0) == 0) {
-        opt.grid.dynamics.stop = sweep::StopRule::kDeltaEps;
-        if (std::sscanf(v.c_str(), "deltaeps:%lf,%lf",
-                        &opt.grid.dynamics.delta,
-                        &opt.grid.dynamics.eps) != 2) {
-          usage("expected --stop deltaeps:D,E");
-        }
-      } else {
-        usage("unknown stop condition");
-      }
-    } else if (flag == "--engine") {
-      const std::string v = need_value(i);
-      if (v == "aggregate") opt.grid.dynamics.mode = EngineMode::kAggregate;
-      else if (v == "perplayer") {
-        opt.grid.dynamics.mode = EngineMode::kPerPlayer;
-      } else usage("unknown engine");
+    } else if (grid.consume(argc, argv, i)) {
+      continue;
+    } else if (flag == "--threads") {
+      read_number(i, opt.run.threads);
     } else if (flag == "--row-threads") {
-      read_number(i, opt.grid.dynamics.row_threads);
+      read_number(i, row_threads);
     } else if (flag == "--manifest") {
       opt.run.manifest_path = need_value(i);
     } else if (flag == "--resume") {
@@ -302,26 +256,13 @@ Options parse_args(int argc, char** argv) {
       opt.connect = need_value(i);
     } else if (flag == "--worker-name") {
       opt.worker_name = need_value(i);
-    } else if (flag == "--param") {
-      const std::string kv = need_value(i);
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos || eq == 0) usage("expected --param K=V");
-      opt.grid.scenario.params[kv.substr(0, eq)] = parse_number<double>(
-          "--param " + kv.substr(0, eq), kv.substr(eq + 1));
-    } else if (flag == "--lambda") read_number(i, lambda);
-    else if (flag == "--out") opt.out_prefix = need_value(i);
+    } else if (flag == "--out") opt.out_prefix = need_value(i);
     else usage(("unknown flag: " + flag).c_str());
   }
-  if (opt.grid.scenario.name.empty()) usage("--scenario is required");
-  if (opt.grid.trials < 1) usage("--trials must be >= 1");
-  if (opt.grid.dynamics.check_interval < 1) {
-    usage("--check-interval must be >= 1");
-  }
-  if (opt.grid.dynamics.max_rounds < 0) usage("--rounds must be >= 0");
+  opt.grid = grid.finish();
   if (opt.run.threads < 0) usage("--threads must be >= 0");
-  if (opt.grid.dynamics.row_threads < 1) {
-    usage("--row-threads must be >= 1");
-  }
+  if (row_threads < 1) usage("--row-threads must be >= 1");
+  opt.grid.dynamics.row_threads = row_threads;
   if (opt.run.manifest_flush_every < 1) {
     usage("--checkpoint-every must be >= 1");
   }
@@ -333,7 +274,6 @@ Options parse_args(int argc, char** argv) {
     usage("--resume: manifest file does not exist (use --manifest to "
           "start a fresh resumable sweep)");
   }
-  if (lambda <= 0.0 || lambda > 1.0) usage("lambda out of (0,1]");
   if (opt.metrics_every < 0) usage("--metrics-every must be >= 0");
   if (opt.metrics_every > 0 && opt.metrics_path.empty()) {
     usage("--metrics-every requires --metrics");
@@ -394,7 +334,6 @@ Options parse_args(int argc, char** argv) {
                    "--inject-faults accepted but inert\n");
     }
   }
-  for (auto& protocol : opt.grid.protocols) protocol.lambda = lambda;
   // Per-trial engine metering is opt-in: only pay for the phase timers
   // when something will report them.
   if (!opt.metrics_path.empty() || !opt.prom_path.empty()) {
