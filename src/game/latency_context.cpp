@@ -123,4 +123,14 @@ double LatencyContext::expost_latency(StrategyId from,
   return acc;
 }
 
+std::span<const double> LatencyContext::expost_table(
+    StrategyId from, std::vector<double>& table) const {
+  table.assign(ell_plus_.begin(), ell_plus_.end());
+  for (Resource e : game_->strategies()[static_cast<std::size_t>(from)]) {
+    const auto idx = static_cast<std::size_t>(e);
+    table[idx] = ell_[idx];
+  }
+  return table;
+}
+
 }  // namespace cid

@@ -23,7 +23,9 @@
 // rows are bit-identical to the per-pair reference path (enforced by
 // tests/test_engine_oracle.cpp). This is why expost_latency re-walks the
 // merge instead of using the algebraically equal ℓ_Q(x) + Σ_{e∈Q\P} Δ_e
-// form: the delta form rounds differently.
+// form: the delta form rounds differently. expost_table is the batched
+// form of the same walk: one per-origin table whose per-destination sums
+// add the walk's doubles in the walk's order.
 #pragma once
 
 #include <cstdint>
@@ -95,6 +97,20 @@ class LatencyContext {
   /// ℓ_Q(x + 1_Q − 1_P) — bitwise equal to game.expost_latency(x, from,
   /// to). Linear merge of the two sorted strategies over cached values.
   double expost_latency(StrategyId from, StrategyId to) const noexcept;
+
+  /// The per-origin ex-post table behind the network row kernels
+  /// (protocols/kernel.hpp): `table` becomes the ell_plus table with
+  /// `from`'s resources overwritten by their ell values, and the returned
+  /// span views it. Summing that table over Q's resources in stored order,
+  /// starting from 0.0, is then bitwise equal to expost_latency(from, Q)
+  /// for every Q: the merge walk adds ell[e] exactly for the resources
+  /// shared with `from` and ell_plus[e] for the rest, in the same order,
+  /// and for Q == from it sums ell over `from`, which is ℓ_P(x). One O(m)
+  /// build per origin replaces a merge walk per (origin, destination)
+  /// pair. `table` keeps its capacity, so a caller that reuses it (one
+  /// per thread) allocates only when m grows.
+  std::span<const double> expost_table(StrategyId from,
+                                       std::vector<double>& table) const;
 
   /// Latency-function evaluations performed since reset (a plain counter:
   /// the engines surface it as evals/round observability at zero

@@ -7,17 +7,24 @@
 // ProtocolKernel is the non-virtual mirror of its row API: `fill_row`,
 // `row_provably_zero`, and `move_probability` with the same bitwise
 // contracts, dispatched at compile time so the engines' five phases inline
-// the row fill instead of paying a virtual call per origin (and, for the
-// paper's protocols on singleton games, run a branch-reduced select loop
-// the auto-vectorizer can chew on — gated by CID_SIMD).
+// the row fill instead of paying a virtual call per origin, and run a
+// branch-reduced select loop per row (gated by CID_SIMD).
 //
 // Layering (how a protocol reaches the hot path):
 //
 //   Protocol (virtual)  --dispatch_protocol_kernel-->  concrete kernel
-//     ImitationProtocol   -> ImitationKernel     (devirtualized + SIMD row)
-//     ExplorationProtocol -> ExplorationKernel   (devirtualized + SIMD row)
-//     CombinedProtocol    -> CombinedKernel      (devirtualized + SIMD row)
+//     ImitationProtocol   -> ImitationKernel     (devirtualized row body)
+//     ExplorationProtocol -> ExplorationKernel   (devirtualized row body)
+//     CombinedProtocol    -> CombinedKernel      (devirtualized row body)
 //     anything else       -> VirtualKernel       (forwards virtually)
+//
+// Each paper kernel writes its protocol formula once, as a row body
+// generic in the ex-post source ℓ_Q(x + 1_Q − 1_P), instantiated twice:
+//
+//   singleton game -> SingletonExpost: ell/ell_plus select per destination
+//   network game   -> NetworkExpost:   per-origin ex-post table
+//                     (LatencyContext::expost_table), summed over each
+//                     destination's resources
 //
 // A new protocol therefore needs NO engine changes: implement the virtual
 // Protocol (correct immediately via VirtualKernel), and optionally add a
@@ -28,10 +35,11 @@
 // mirrors move_probability per pair — so batched, monomorphized, SIMD, and
 // per-pair reference paths all consume the RNG identically and produce
 // interchangeable checkpoints (tests/test_kernel_concepts.cpp and
-// tests/test_engine_oracle.cpp enforce this). The singleton fast paths
-// below preserve it by construction: identical hoisted constants,
-// identical expression order, and ternary selects (never multiply-by-mask,
-// which would turn a discarded-lane NaN into an output).
+// tests/test_engine_oracle.cpp enforce this). The row bodies preserve it
+// by construction: identical hoisted constants, identical expression
+// order, ex-post sources that add the merge walk's doubles in its order,
+// and ternary selects (never multiply-by-mask, which would turn a
+// discarded-lane NaN into an output).
 #pragma once
 
 #include <algorithm>
@@ -40,6 +48,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "game/congestion_game.hpp"
 #include "game/latency_context.hpp"
@@ -98,25 +107,83 @@ class VirtualKernel {
   const Protocol* protocol_;
 };
 
-/// Monomorphized imitation kernel. Non-singleton games delegate to the
-/// final ImitationProtocol methods (direct, devirtualized calls); singleton
-/// games take a contiguous-array select loop under CID_SIMD: the per-
-/// destination ex-post merge collapses to one ell/ell_plus read, and the
-/// branchy zero cases become one ternary select per entry.
-class ImitationKernel {
+namespace kernel_detail {
+
+/// Singleton ex-post source: the one destination resource reads ell when
+/// shared with the origin, ell_plus otherwise — exactly what
+/// ctx.expost_latency's merge walk computes for |Q| = 1.
+struct SingletonExpost {
+  std::span<const Strategy> strategies;
+  std::span<const double> ell;
+  std::span<const double> ell_plus;
+  Resource res_from;
+
+  double operator()(std::size_t to) const noexcept {
+    const Resource res_to = strategies[to][0];
+    const auto e = static_cast<std::size_t>(res_to);
+    return res_to == res_from ? ell[e] : ell_plus[e];
+  }
+};
+
+/// Network ex-post source: ℓ_Q(x + 1_Q − 1_P) as the sum of the origin's
+/// ex-post table (LatencyContext::expost_table) over Q's resources, in
+/// stored order from 0.0 — the merge walk's doubles in the merge walk's
+/// order, so bitwise equal to ctx.expost_latency(from, Q).
+struct NetworkExpost {
+  std::span<const Strategy> strategies;
+  std::span<const double> table;
+
+  double operator()(std::size_t to) const noexcept {
+    double acc = 0.0;
+    for (Resource e : strategies[to]) {
+      acc += table[static_cast<std::size_t>(e)];
+    }
+    return acc;
+  }
+};
+
+/// The network ex-post table: one buffer per thread (fill_rows_parallel
+/// fills rows concurrently), shared by every kernel type and reused across
+/// rows and games, so it allocates only when a game with more resources
+/// than any before it reaches this thread.
+inline std::vector<double>& expost_table_scratch() {
+  thread_local std::vector<double> table;
+  return table;
+}
+
+/// The shared kernel surface: `Derived` supplies one row body per protocol
+/// formula, `fill_row_over(game, ctx, from, out, l_to)`, generic in the
+/// ex-post source `l_to(to)`, and fill_row instantiates it with the source
+/// that fits the game; the rest forwards to the final protocol's methods
+/// (direct, devirtualized calls). Under CID_SIMD=OFF fill_row delegates to
+/// the virtual row instead, which is what lets the cross-binary audit
+/// compare the two.
+template <typename ProtocolT, typename Derived>
+class RowKernel {
  public:
-  explicit ImitationKernel(const ImitationProtocol& protocol) noexcept
+  explicit RowKernel(const ProtocolT& protocol) noexcept
       : protocol_(&protocol) {}
 
   void fill_row(const CongestionGame& game, const LatencyContext& ctx,
                 StrategyId from, std::span<double> out) const {
     if constexpr (kSimdCompiled) {
+      const auto& self = static_cast<const Derived&>(*this);
+      const std::span<const Strategy> strategies = game.strategies();
       if (game.is_singleton()) {
-        fill_row_singleton(game, ctx, from, out);
-        return;
+        self.fill_row_over(
+            game, ctx, from, out,
+            SingletonExpost{strategies, ctx.resource_latencies(),
+                            ctx.resource_latencies_plus(),
+                            strategies[static_cast<std::size_t>(from)][0]});
+      } else {
+        self.fill_row_over(
+            game, ctx, from, out,
+            NetworkExpost{strategies,
+                          ctx.expost_table(from, expost_table_scratch())});
       }
+    } else {
+      protocol_->fill_move_probabilities(game, ctx, from, out);
     }
-    protocol_->fill_move_probabilities(game, ctx, from, out);
   }
   bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
                          StrategyId from, const RowBounds& bounds) const {
@@ -128,17 +195,32 @@ class ImitationKernel {
   }
   std::string name() const { return protocol_->name(); }
 
+ protected:
+  const ProtocolT* protocol_;
+};
+
+}  // namespace kernel_detail
+
+/// Monomorphized imitation kernel. One row body serves singleton and
+/// network games alike; the branchy zero cases of the virtual row become
+/// one ternary select per entry.
+class ImitationKernel
+    : public kernel_detail::RowKernel<ImitationProtocol, ImitationKernel> {
+ public:
+  using RowKernel::RowKernel;
+
  private:
-  void fill_row_singleton(const CongestionGame& game, const LatencyContext& ctx,
-                          StrategyId from, std::span<double> out) const {
+  friend RowKernel;
+
+  template <typename ExpostSource>
+  void fill_row_over(const CongestionGame& game, const LatencyContext& ctx,
+                     StrategyId from, std::span<double> out,
+                     const ExpostSource& expost) const {
     // Hoisted constants mirror ImitationProtocol::fill_move_probabilities
     // term for term (effective nu/d reconstructed from the public params —
     // same expressions as the private effective_* helpers).
     const ImitationParams& params = protocol_->params();
     const std::span<const std::int64_t> counts = ctx.state().counts();
-    const std::span<const Strategy> strategies = game.strategies();
-    const std::span<const double> ell = ctx.resource_latencies();
-    const std::span<const double> ell_plus = ctx.resource_latencies_plus();
     const auto k = static_cast<std::size_t>(game.num_strategies());
     const std::int64_t v = params.virtual_agents;
     const std::int64_t pool =
@@ -151,17 +233,11 @@ class ImitationKernel {
         params.damping ? params.elasticity_override.value_or(game.elasticity())
                        : 1.0;
     const double lambda_over_d = params.lambda / d;
-    const Resource res_from = strategies[static_cast<std::size_t>(from)][0];
     for (std::size_t to = 0; to < k; ++to) {
       const std::int64_t targets = counts[to] + v;
       const double sample_prob =
           static_cast<double>(targets) / static_cast<double>(pool);
-      const Resource res_to = strategies[to][0];
-      const auto e = static_cast<std::size_t>(res_to);
-      // Singleton ex-post merge: the one destination resource reads ell
-      // when shared with the origin, ell_plus otherwise — exactly what
-      // ctx.expost_latency's merge walk computes for |Q| = 1.
-      const double l_to = res_to == res_from ? ell[e] : ell_plus[e];
+      const double l_to = expost(to);
       const double mu = lambda_over_d * (l_from - l_to) / l_from;
       // One select covering every zero case of the scalar loop, in the
       // same semantics: self, empty target, vanished sample probability,
@@ -173,47 +249,26 @@ class ImitationKernel {
       out[to] = moves ? sample_prob * std::clamp(mu, 0.0, 1.0) : 0.0;
     }
   }
-
-  const ImitationProtocol* protocol_;
 };
 
 /// Monomorphized exploration kernel (same layering as ImitationKernel).
-class ExplorationKernel {
+class ExplorationKernel
+    : public kernel_detail::RowKernel<ExplorationProtocol, ExplorationKernel> {
  public:
-  explicit ExplorationKernel(const ExplorationProtocol& protocol) noexcept
-      : protocol_(&protocol) {}
-
-  void fill_row(const CongestionGame& game, const LatencyContext& ctx,
-                StrategyId from, std::span<double> out) const {
-    if constexpr (kSimdCompiled) {
-      if (game.is_singleton()) {
-        fill_row_singleton(game, ctx, from, out);
-        return;
-      }
-    }
-    protocol_->fill_move_probabilities(game, ctx, from, out);
-  }
-  bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
-                         StrategyId from, const RowBounds& bounds) const {
-    return protocol_->row_provably_zero(game, ctx, from, bounds);
-  }
-  double move_probability(const CongestionGame& game, const State& x,
-                          StrategyId from, StrategyId to) const {
-    return protocol_->move_probability(game, x, from, to);
-  }
-  std::string name() const { return protocol_->name(); }
+  using RowKernel::RowKernel;
 
  private:
-  void fill_row_singleton(const CongestionGame& game, const LatencyContext& ctx,
-                          StrategyId from, std::span<double> out) const {
+  friend RowKernel;
+
+  template <typename ExpostSource>
+  void fill_row_over(const CongestionGame& game, const LatencyContext& ctx,
+                     StrategyId from, std::span<double> out,
+                     const ExpostSource& expost) const {
     // Mirrors ExplorationProtocol::fill_move_probabilities. Its
     // non-improving entries are sample_prob * 0.0 — bitwise +0.0, since
     // sample_prob = 1/k is positive and finite — so one 0.0 select covers
     // both zero cases exactly.
     const ExplorationParams& params = protocol_->params();
-    const std::span<const Strategy> strategies = game.strategies();
-    const std::span<const double> ell = ctx.resource_latencies();
-    const std::span<const double> ell_plus = ctx.resource_latencies_plus();
     const auto k = static_cast<std::size_t>(game.num_strategies());
     const double sample_prob =
         1.0 / static_cast<double>(game.num_strategies());
@@ -225,65 +280,43 @@ class ExplorationKernel {
     const double n = static_cast<double>(game.num_players());
     const double damping = std::min(1.0, num_strategies * lmin / (beta * n));
     const double lambda_damping = params.lambda * damping;
-    const Resource res_from = strategies[static_cast<std::size_t>(from)][0];
     for (std::size_t to = 0; to < k; ++to) {
-      const Resource res_to = strategies[to][0];
-      const auto e = static_cast<std::size_t>(res_to);
-      const double l_to = res_to == res_from ? ell[e] : ell_plus[e];
+      const double l_to = expost(to);
       const double mu = lambda_damping * (l_from - l_to) / l_from;
       const bool moves =
           static_cast<StrategyId>(to) != from && (l_from > l_to);
       out[to] = moves ? sample_prob * std::clamp(mu, 0.0, 1.0) : 0.0;
     }
   }
-
-  const ExplorationProtocol* protocol_;
 };
 
-/// Monomorphized combined kernel: one ell/ell_plus read per destination
-/// feeds both sub-protocol cores, exactly as the scalar row fill shares one
+/// Monomorphized combined kernel: one ex-post read per destination feeds
+/// both sub-protocol cores, exactly as the scalar row fill shares one
 /// ex-post merge between them.
-class CombinedKernel {
+class CombinedKernel
+    : public kernel_detail::RowKernel<CombinedProtocol, CombinedKernel> {
  public:
-  explicit CombinedKernel(const CombinedProtocol& protocol) noexcept
-      : protocol_(&protocol) {}
-
-  void fill_row(const CongestionGame& game, const LatencyContext& ctx,
-                StrategyId from, std::span<double> out) const {
-    if constexpr (kSimdCompiled) {
-      if (game.is_singleton()) {
-        fill_row_singleton(game, ctx, from, out);
-        return;
-      }
-    }
-    protocol_->fill_move_probabilities(game, ctx, from, out);
-  }
-  bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
-                         StrategyId from, const RowBounds& bounds) const {
-    return protocol_->row_provably_zero(game, ctx, from, bounds);
-  }
-  double move_probability(const CongestionGame& game, const State& x,
-                          StrategyId from, StrategyId to) const {
-    return protocol_->move_probability(game, x, from, to);
-  }
-  std::string name() const { return protocol_->name(); }
+  using RowKernel::RowKernel;
 
  private:
-  void fill_row_singleton(const CongestionGame& game, const LatencyContext& ctx,
-                          StrategyId from, std::span<double> out) const {
+  friend RowKernel;
+
+  template <typename ExpostSource>
+  void fill_row_over(const CongestionGame& game, const LatencyContext& ctx,
+                     StrategyId from, std::span<double> out,
+                     const ExpostSource& expost) const {
     // Mirrors CombinedProtocol::fill_move_probabilities: per entry, the
     // exact values the two move_probability_cached cores return, combined
     // as p·explore + (1−p)·imitate in the same order. The exploration core
     // returns sample_prob * 0.0 (== +0.0) for non-improving targets, so
-    // its select writes 0.0 exactly like the imitation-style cases.
+    // its select writes 0.0 exactly like the imitation-style cases. The
+    // cores' per-pair constants (β, ℓ_min, damping, ν, d) are hoisted once
+    // per row: the same doubles every pair, so hoisting changes no bit.
     const ImitationParams& ip = protocol_->imitation().params();
     const ExplorationParams& ep = protocol_->exploration().params();
     const double p_explore = protocol_->p_explore();
     const double one_minus_p = 1.0 - p_explore;
     const std::span<const std::int64_t> counts = ctx.state().counts();
-    const std::span<const Strategy> strategies = game.strategies();
-    const std::span<const double> ell = ctx.resource_latencies();
-    const std::span<const double> ell_plus = ctx.resource_latencies_plus();
     const auto k = static_cast<std::size_t>(game.num_strategies());
     const double l_from = ctx.strategy_latency(from);
     // Imitation core constants (ImitationProtocol::move_probability_cached).
@@ -305,11 +338,8 @@ class CombinedKernel {
     const double e_damping =
         std::min(1.0, num_strategies * lmin / (beta * n));
     const double e_lambda_damping = ep.lambda * e_damping;
-    const Resource res_from = strategies[static_cast<std::size_t>(from)][0];
     for (std::size_t to = 0; to < k; ++to) {
-      const Resource res_to = strategies[to][0];
-      const auto e = static_cast<std::size_t>(res_to);
-      const double l_to = res_to == res_from ? ell[e] : ell_plus[e];
+      const double l_to = expost(to);
       const double e_mu = e_lambda_damping * (l_from - l_to) / l_from;
       const double e_val = (l_from > l_to)
                                ? e_sample * std::clamp(e_mu, 0.0, 1.0)
@@ -327,8 +357,6 @@ class CombinedKernel {
                     : p_explore * e_val + one_minus_p * i_val;
     }
   }
-
-  const CombinedProtocol* protocol_;
 };
 
 static_assert(ProtocolKernel<VirtualKernel>);

@@ -15,10 +15,12 @@
 //      latency-function shape (constant, linear, affine, monomial,
 //      polynomial, scaled, and the opaque exponential fallback) bitwise at
 //      the integer loads the engines evaluate;
-//   4. row level — each monomorphized kernel's fill_row (the SIMD select
-//      loop on singleton games) is bitwise-identical to the virtual
-//      fill_move_probabilities row, sustained across incremental cache
-//      refreshes;
+//   4. row level — each monomorphized kernel's fill_row (one row body,
+//      over the singleton select and over the per-origin network ex-post
+//      table) is bitwise-identical to the virtual fill_move_probabilities
+//      row, sustained across incremental cache refreshes, every parameter
+//      variant, games of different size on one thread, and concurrent
+//      fills under row_threads > 1;
 //   5. round/run level — the templated draw_round<K> / run_dynamics<K>
 //      over the monomorphized kernel, the same templates over
 //      VirtualKernel, the type-erased Protocol frontend, and the per-pair
@@ -245,6 +247,186 @@ TEST(KernelRows, NetworkGamesDelegateBitwise) {
       CombinedProtocol{ImitationParams{}, ExplorationParams{}, 0.5});
 }
 
+CongestionGame network_game_k64(std::int64_t n) {
+  // 4^3 = 64 s-t paths over 40 edges: the bench_engine_micro cells 1/2
+  // and long_sim game shape.
+  const auto net = make_layered_network(4, 3);
+  Rng latency_rng(7);
+  std::vector<LatencyPtr> fns;
+  for (EdgeId e = 0; e < net.graph.num_edges(); ++e) {
+    const double a = 0.5 + latency_rng.uniform();
+    fns.push_back(latency_rng.bernoulli(0.5) ? make_linear(a)
+                                             : make_monomial(0.05 * a, 2.0));
+  }
+  return make_network_game(net, std::move(fns), n);
+}
+
+TEST(KernelRows, NetworkRowsMatchVirtualRowsForImitationParams) {
+  const auto game = network_game_k8(1500);
+  ImitationParams virtual_agents;
+  virtual_agents.virtual_agents = 2;
+  ImitationParams no_nu;
+  no_nu.nu_cutoff = false;
+  ImitationParams no_damping;
+  no_damping.damping = false;
+  for (const ImitationParams& params : {virtual_agents, no_nu, no_damping}) {
+    for (const SamplingConvention convention :
+         {SamplingConvention::kExcludeSelf, SamplingConvention::kIncludeSelf}) {
+      ImitationParams variant = params;
+      variant.convention = convention;
+      const ImitationProtocol imitation(variant);
+      SCOPED_TRACE(imitation.name());
+      expect_rows_match_protocol<ImitationKernel>(game, imitation);
+      expect_rows_match_protocol<CombinedKernel>(
+          game, CombinedProtocol{variant, ExplorationParams{}, 0.5});
+    }
+  }
+}
+
+TEST(KernelRows, NetworkRowsMatchVirtualRowsForExplorationOverrides) {
+  const auto game = network_game_k8(1500);
+  ExplorationParams beta;
+  beta.beta_override = 0.75;
+  ExplorationParams lmin;
+  lmin.lmin_override = 3.0;
+  for (const ExplorationParams& params : {beta, lmin}) {
+    expect_rows_match_protocol<ExplorationKernel>(game,
+                                                  ExplorationProtocol(params));
+    expect_rows_match_protocol<CombinedKernel>(
+        game, CombinedProtocol{ImitationParams{}, params, 0.5});
+  }
+}
+
+TEST(KernelRows, NetworkRowsMatchVirtualRowsForEveryExploreShare) {
+  const auto game = network_game_k8(1500);
+  for (const double p_explore : {0.0, 0.5, 1.0}) {
+    SCOPED_TRACE(p_explore);
+    expect_rows_match_protocol<CombinedKernel>(
+        game,
+        CombinedProtocol{ImitationParams{}, ExplorationParams{}, p_explore});
+  }
+}
+
+TEST(KernelRows, NetworkRowsMatchVirtualRowsWithDecreasingLatency) {
+  // One decreasing edge: ℓ_e(x_e+1) < ℓ_e(x_e) there, so the table mixes
+  // ex-post values below the current ones and plus_dominates() is false
+  // (no pruning shortcut hides a row).
+  class DecreasingLatency final : public LatencyFunction {
+   public:
+    double value(double x) const override { return 5.0 + 400.0 / (1.0 + x); }
+    std::string describe() const override { return "5+400/(1+x)"; }
+  };
+  const auto net = make_layered_network(2, 3);
+  std::vector<LatencyPtr> fns;
+  for (EdgeId e = 0; e < net.graph.num_edges(); ++e) {
+    fns.push_back(e == 1 ? LatencyPtr(std::make_shared<DecreasingLatency>())
+                         : make_linear(0.01 * (1 + e)));
+  }
+  const auto game = make_network_game(net, std::move(fns), 1500);
+  {
+    Rng rng(41);  // the state expect_rows_match_protocol starts from
+    const State x = State::uniform_random(game, rng);
+    LatencyContext ctx;
+    ctx.reset(game, x);
+    ASSERT_FALSE(ctx.plus_dominates());
+  }
+  expect_rows_match_protocol<ImitationKernel>(game, ImitationProtocol());
+  expect_rows_match_protocol<ExplorationKernel>(game, ExplorationProtocol());
+  expect_rows_match_protocol<CombinedKernel>(
+      game, CombinedProtocol{ImitationParams{}, ExplorationParams{}, 0.5});
+}
+
+TEST(KernelRows, OneKernelAlternatesBetweenNetworkGamesOfDifferentSize) {
+  // The per-thread ex-post table is reused across rows: every switch
+  // between the 2x3 and 4x3 games re-sizes it (both ways) on this thread.
+  const auto small = network_game_k8(1500);
+  const auto large = network_game_k64(4000);
+  ASSERT_NE(small.num_resources(), large.num_resources());
+  const CombinedProtocol protocol{ImitationParams{}, ExplorationParams{},
+                                  0.5};
+  const CombinedKernel kernel(protocol);
+  struct Side {
+    const CongestionGame* game;
+    State x;
+    LatencyContext ctx;
+  };
+  Rng rng(61);
+  std::array<Side, 2> sides{Side{&small, State::uniform_random(small, rng), {}},
+                            Side{&large, State::uniform_random(large, rng), {}}};
+  for (Side& side : sides) side.ctx.reset(*side.game, side.x);
+  std::vector<double> kernel_row;
+  std::vector<double> virtual_row;
+  for (int round = 0; round < 5; ++round) {
+    for (StrategyId from = 0; from < large.num_strategies(); ++from) {
+      for (Side& side : sides) {
+        const CongestionGame& game = *side.game;
+        const StrategyId origin = from % game.num_strategies();
+        const auto k = static_cast<std::size_t>(game.num_strategies());
+        kernel_row.assign(k, -1.0);
+        virtual_row.assign(k, -2.0);
+        kernel.fill_row(game, side.ctx, origin, kernel_row);
+        protocol.fill_move_probabilities(game, side.ctx, origin, virtual_row);
+        for (std::size_t to = 0; to < k; ++to) {
+          ASSERT_EQ(kernel_row[to], virtual_row[to])
+              << "m=" << game.num_resources() << " round " << round
+              << " pair " << origin << "->" << to;
+        }
+      }
+    }
+    for (Side& side : sides) {
+      RoundWorkspace ws;
+      RoundResult rr;
+      draw_round(*side.game, side.x, kernel, rng, EngineMode::kAggregate, ws,
+                 rr);
+      ApplyScratch scratch;
+      side.x.apply(*side.game, rr.moves, scratch);
+      side.ctx.refresh(scratch.touched);
+    }
+  }
+}
+
+template <typename KernelT, typename ProtocolT>
+void expect_parallel_rows_match_protocol(const CongestionGame& game,
+                                         const ProtocolT& protocol,
+                                         int row_threads) {
+  const KernelT kernel(protocol);
+  const auto k = static_cast<std::size_t>(game.num_strategies());
+  Rng rng(53);
+  State x = State::uniform_random(game, rng);
+  RoundWorkspace ws;
+  RoundResult rr;
+  std::vector<double> virtual_row(k);
+  for (int round = 0; round < 10; ++round) {
+    engine_detail::prepare(game, x, ws);
+    engine_detail::fill_rows_parallel(game, kernel, ws, /*prune=*/false,
+                                      RowBounds{}, row_threads);
+    for (std::size_t i = 0; i < ws.support.size(); ++i) {
+      const StrategyId from = ws.support[i];
+      protocol.fill_move_probabilities(game, ws.ctx, from, virtual_row);
+      for (std::size_t to = 0; to < k; ++to) {
+        ASSERT_EQ(ws.rows[i * k + to], virtual_row[to])
+            << "round " << round << " pair " << from << "->" << to;
+      }
+    }
+    draw_round(game, x, kernel, rng, EngineMode::kAggregate, ws, rr,
+               row_threads);
+    x.apply(game, rr.moves, ws.apply_scratch);
+    ws.ctx.refresh(ws.apply_scratch.touched);
+  }
+}
+
+TEST(KernelRows, NetworkRowsUnderFourRowThreadsMatchVirtualRows) {
+  // Four pool threads fill rows concurrently, each through its own ex-post
+  // table.
+  const auto game = network_game_k64(20000);
+  expect_parallel_rows_match_protocol<ImitationKernel>(
+      game, ImitationProtocol(), 4);
+  expect_parallel_rows_match_protocol<ExplorationKernel>(
+      game, ExplorationProtocol(), 4);
+  expect_parallel_rows_match_protocol<CombinedKernel>(
+      game, CombinedProtocol{ImitationParams{}, ExplorationParams{}, 0.5}, 4);
+}
+
 // ---- 5. Round- and run-level identity across all four paths -----------------
 
 template <typename KernelT, typename ProtocolT>
@@ -307,6 +489,19 @@ TEST(KernelRounds, MonoVirtualFrontendOracleIdenticalNetwork) {
   expect_four_paths_identical<CombinedKernel>(
       game, CombinedProtocol{ImitationParams{}, ExplorationParams{}, 0.5},
       EngineMode::kAggregate, 40, 95);
+}
+
+TEST(KernelRounds, MonoVirtualFrontendOracleIdenticalNetworkAllKernels) {
+  const auto game = network_game_k8(3000);
+  expect_four_paths_identical<ExplorationKernel>(
+      game, ExplorationProtocol(), EngineMode::kAggregate, 40, 96);
+  expect_four_paths_identical<ImitationKernel>(
+      game, ImitationProtocol(), EngineMode::kPerPlayer, 20, 97);
+  expect_four_paths_identical<ExplorationKernel>(
+      game, ExplorationProtocol(), EngineMode::kPerPlayer, 20, 98);
+  expect_four_paths_identical<CombinedKernel>(
+      game, CombinedProtocol{ImitationParams{}, ExplorationParams{}, 0.5},
+      EngineMode::kPerPlayer, 20, 99);
 }
 
 TEST(KernelRounds, TemplatedRowThreadsBitwiseInvariant) {

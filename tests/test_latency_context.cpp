@@ -13,9 +13,15 @@
 //   3. Monotonicity gate: with a DECREASING latency function in the game,
 //      plus_dominates() reports false and every row_provably_zero
 //      conservatively declines to prune.
+//   4. Ex-post table: summing expost_table(from) over a destination's
+//      resources equals expost_latency(from, to) exactly, for every pair,
+//      across refreshes (the network row kernels' bitwise basis).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "dynamics/asymmetric_engine.hpp"
@@ -124,6 +130,62 @@ TEST(LatencyContext, SingletonIncrementalRefreshEqualsRebuild) {
     x.apply(game, moves, scratch);
     ctx.refresh(scratch.touched);
     expect_context_equals_rebuild(game, x, ctx);
+  }
+}
+
+// ---- Per-origin ex-post table ------------------------------------------------
+
+CongestionGame layered_game(std::int32_t width, std::int32_t depth,
+                            std::int64_t n, std::uint64_t seed) {
+  const auto net = make_layered_network(width, depth);
+  Rng rng(seed);
+  std::vector<LatencyPtr> fns;
+  for (EdgeId e = 0; e < net.graph.num_edges(); ++e) {
+    const double a = 0.5 + rng.uniform();
+    fns.push_back(rng.bernoulli(0.5) ? make_linear(a)
+                                     : make_monomial(0.05 * a, 2.0));
+  }
+  return make_network_game(net, std::move(fns), n);
+}
+
+// Summing the origin's table over a destination's resources, in stored
+// order from 0.0, is the merge walk bit for bit — the identity the network
+// row kernels (protocols/kernel.hpp) rest on — for every (from, to) pair,
+// the diagonal included, before and after incremental refreshes.
+void expect_table_sums_equal_merge(const CongestionGame& game,
+                                   const LatencyContext& ctx) {
+  std::vector<double> table;
+  for (StrategyId from = 0; from < game.num_strategies(); ++from) {
+    const std::span<const double> row = ctx.expost_table(from, table);
+    ASSERT_EQ(row.size(), static_cast<std::size_t>(game.num_resources()));
+    for (StrategyId to = 0; to < game.num_strategies(); ++to) {
+      double acc = 0.0;
+      for (Resource e : game.strategies()[static_cast<std::size_t>(to)]) {
+        acc += row[static_cast<std::size_t>(e)];
+      }
+      ASSERT_EQ(acc, ctx.expost_latency(from, to)) << from << "->" << to;
+    }
+  }
+}
+
+TEST(LatencyContext, ExpostTableSumsEqualMergeWalk) {
+  for (const auto& [width, depth] :
+       {std::pair<std::int32_t, std::int32_t>{2, 3}, {4, 3}}) {
+    SCOPED_TRACE("layered " + std::to_string(width) + "x" +
+                 std::to_string(depth));
+    const auto game = layered_game(width, depth, 2500, 19);
+    Rng rng(29);
+    State x = State::uniform_random(game, rng);
+    LatencyContext ctx;
+    ctx.reset(game, x);
+    expect_table_sums_equal_merge(game, ctx);
+    ApplyScratch scratch;
+    for (int step = 0; step < 5; ++step) {
+      const auto moves = random_moves(game, x, rng);
+      x.apply(game, moves, scratch);
+      ctx.refresh(scratch.touched);
+      expect_table_sums_equal_merge(game, ctx);
+    }
   }
 }
 

@@ -94,6 +94,13 @@ CoordinatorOptions coordinator_options(const std::string& manifest,
   return options;
 }
 
+// A raw client connection; reads time out instead of hanging.
+Socket raw_connect(std::uint16_t port) {
+  Socket socket = tcp_connect("127.0.0.1", port);
+  set_recv_timeout(socket, 10.0);
+  return socket;
+}
+
 // Faults and the crash handler are process-global; every test must leave
 // them disarmed for its neighbors.
 class Serve : public ::testing::Test {
@@ -131,6 +138,11 @@ TEST_F(Serve, FleetManifestByteIdenticalToLocalRun) {
     std::thread coordinator(
         [&] { report = serve_grid(family.grid, options); });
     const std::uint16_t port = port_promise.get_future().get();
+    // Held open until every worker is done (as in run_fleet): a worker
+    // thread scheduled after the others drained the grid still finds the
+    // port open and is told `drained`. It sends no hello, so it is not
+    // counted in workers_seen.
+    Socket keeper = raw_connect(port);
 
     std::vector<WorkerReport> workers(3);
     std::vector<std::thread> threads;
@@ -143,6 +155,7 @@ TEST_F(Serve, FleetManifestByteIdenticalToLocalRun) {
       });
     }
     for (std::thread& t : threads) t.join();
+    keeper.close();
     coordinator.join();
 
     EXPECT_TRUE(report.complete);
@@ -185,6 +198,7 @@ TEST_F(Serve, WorkerKilledMidLeaseIsReclaimedWithoutChangingBytes) {
   CoordinatorReport report;
   std::thread coordinator([&] { report = serve_grid(grid, options); });
   const std::uint16_t port = port_promise.get_future().get();
+  Socket keeper = raw_connect(port);  // as in run_fleet
 
   std::atomic<int> killed{0};
   std::vector<WorkerReport> workers(3);
@@ -202,6 +216,7 @@ TEST_F(Serve, WorkerKilledMidLeaseIsReclaimedWithoutChangingBytes) {
     });
   }
   for (std::thread& t : threads) t.join();
+  keeper.close();
   coordinator.join();
 
   EXPECT_EQ(killed.load(), 1);
@@ -341,13 +356,6 @@ sweep::SweepGrid four_trial_grid() {
   grid.master_seed = 5;
   grid.dynamics.max_rounds = 500;
   return grid;
-}
-
-// A raw client connection; reads time out instead of hanging.
-Socket raw_connect(std::uint16_t port) {
-  Socket socket = tcp_connect("127.0.0.1", port);
-  set_recv_timeout(socket, 10.0);
-  return socket;
 }
 
 // One blocking request/response on a raw client socket.
