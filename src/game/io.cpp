@@ -1,5 +1,8 @@
 #include "game/io.hpp"
 
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -231,12 +234,23 @@ void write_text_file(const std::string& path, const std::string& text) {
 }
 
 std::string read_text_file(const std::string& path) {
-  std::ifstream in(path);
-  CID_ENSURE(in.good(), "cannot open path for reading: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  CID_ENSURE(!in.bad(), "read failed for: " + path);
-  return buffer.str();
+  std::FILE* in = std::fopen(path.c_str(), "r");
+  if (in == nullptr) {
+    throw input_error("cannot open '" + path +
+                      "' for reading: " + std::strerror(errno));
+  }
+  std::string text;
+  char chunk[1 << 16];
+  std::size_t got = 0;
+  while ((got = std::fread(chunk, 1, sizeof chunk, in)) > 0) {
+    text.append(chunk, got);
+  }
+  const int error = std::ferror(in) != 0 ? errno : 0;
+  std::fclose(in);
+  if (error != 0) {
+    throw input_error("cannot read '" + path + "': " + std::strerror(error));
+  }
+  return text;
 }
 
 }  // namespace

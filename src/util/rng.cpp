@@ -15,27 +15,9 @@ std::uint64_t SplitMix64::next() noexcept {
   return z ^ (z >> 31);
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Xoshiro256pp::Xoshiro256pp(std::uint64_t seed) noexcept {
   SplitMix64 sm(seed);
   for (auto& s : s_) s = sm.next();
-}
-
-Xoshiro256pp::result_type Xoshiro256pp::operator()() noexcept {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 void Xoshiro256pp::jump() noexcept {
@@ -65,11 +47,6 @@ Rng Rng::split(std::uint64_t key) noexcept {
   return Rng(sm.next());
 }
 
-double Rng::uniform() noexcept {
-  // 53-bit mantissa path: uniform on [0, 1) with full double resolution.
-  return static_cast<double>(gen_() >> 11) * 0x1.0p-53;
-}
-
 std::uint64_t Rng::uniform_int(std::uint64_t bound) noexcept {
   // Lemire's nearly-divisionless method.
   std::uint64_t x = gen_();
@@ -86,12 +63,6 @@ std::uint64_t Rng::uniform_int(std::uint64_t bound) noexcept {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-bool Rng::bernoulli(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
-}
-
 std::int64_t Rng::binomial(std::int64_t n, double p) {
   CID_ENSURE(n >= 0, "binomial requires n >= 0");
   if (n == 0) return 0;
@@ -104,8 +75,13 @@ std::int64_t Rng::binomial(std::int64_t n, double p) {
 
   const double mean = static_cast<double>(n) * p;
   if (n <= 32) {
+    // bernoulli(p) per trial, as one integer compare on the raw draw:
+    // uniform() < p iff (x >> 11) < ceil(p * 2^53) (see rng.hpp).
+    const auto threshold = static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
     std::int64_t k = 0;
-    for (std::int64_t i = 0; i < n; ++i) k += bernoulli(p) ? 1 : 0;
+    for (std::int64_t i = 0; i < n; ++i) {
+      k += static_cast<std::int64_t>((gen_() >> 11) < threshold);
+    }
     return k;
   }
   if (mean < 12.0) return binomial_inversion(n, p);
@@ -115,23 +91,26 @@ std::int64_t Rng::binomial(std::int64_t n, double p) {
 std::int64_t Rng::binomial_inversion(std::int64_t n, double p) {
   // CDF inversion starting from k = 0; expected work O(np + 1).
   const double q = 1.0 - p;
+  double u = uniform();
+  // k = 0 without pow: u < pow_floor(q, n) <= f0 (see rng.hpp).
+  if (u < detail::pow_floor(q, static_cast<double>(n))) return 0;
   const double s = p / q;
   const double f0 = std::pow(q, static_cast<double>(n));
+  // Cap the walk generously above the mean; restart on the (measure-zero
+  // in exact arithmetic, tiny in floating point) event of tail rounding.
+  const std::int64_t cap =
+      std::min<std::int64_t>(n, static_cast<std::int64_t>(
+                                    static_cast<double>(n) * p + 64.0 +
+                                    16.0 * std::sqrt(static_cast<double>(n) *
+                                                     p * q)));
   for (;;) {
-    double u = uniform();
     double f = f0;
-    // Cap the walk generously above the mean; restart on the (measure-zero
-    // in exact arithmetic, tiny in floating point) event of tail rounding.
-    const std::int64_t cap =
-        std::min<std::int64_t>(n, static_cast<std::int64_t>(
-                                      static_cast<double>(n) * p + 64.0 +
-                                      16.0 * std::sqrt(static_cast<double>(n) *
-                                                       p * q)));
     for (std::int64_t k = 0; k <= cap; ++k) {
       if (u < f) return k;
       u -= f;
       f *= s * static_cast<double>(n - k) / static_cast<double>(k + 1);
     }
+    u = uniform();
   }
 }
 

@@ -238,7 +238,7 @@ TEST(KernelRows, SingletonFastPathsMatchVirtualRows) {
       CombinedProtocol{ImitationParams{}, ExplorationParams{}, 0.5});
 }
 
-TEST(KernelRows, NetworkGamesDelegateBitwise) {
+TEST(KernelRows, NetworkTableRowsMatchVirtualRowsBitwise) {
   const auto game = network_game_k8(1500);
   expect_rows_match_protocol<ImitationKernel>(game, ImitationProtocol());
   expect_rows_match_protocol<ExplorationKernel>(game, ExplorationProtocol());

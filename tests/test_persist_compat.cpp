@@ -21,11 +21,14 @@
 #include <string>
 #include <vector>
 
+#include "dynamics/engine.hpp"
 #include "game/io.hpp"
 #include "persist/binio.hpp"
+#include "persist/checkpoint.hpp"
 #include "persist/eventlog.hpp"
 #include "persist/manifest.hpp"
 #include "persist/snapshot.hpp"
+#include "protocols/imitation.hpp"
 #include "sweep/runner.hpp"
 #include "util/rng.hpp"
 
@@ -96,6 +99,49 @@ TEST(PersistCompat, V1EventLogReplaysToTheV1FinalState) {
   const State text_state =
       load_state(final_snapshot.game, fixture("final_v1.cidstate"));
   EXPECT_TRUE(x == text_state);
+}
+
+TEST(PersistCompat, V1RunReproducesFromItsGenerationCommand) {
+  // An end-to-end pin on the random stream: re-run the fixture's cid_sim
+  // command (imitation, lambda 0.25, aggregate engine, --start uniform,
+  // --stop nash) through today's engine. Every round's migrations must
+  // equal the frozen v1 log, and the final state and generator state must
+  // equal the frozen snapshot and text state. Any change to which
+  // uniforms the samplers draw, or to what they return, breaks this.
+  const CongestionGame game = load_game(fixture("fixture_v1.game"));
+  const EventLog log = read_event_log(fixture("run_v1.cidelog"));
+  const Snapshot final_snapshot = load_snapshot(fixture("final_v1.cidsnap"));
+
+  Rng rng(kFixtureSeed);
+  State x = State::uniform_random(game, rng);
+  const ImitationProtocol protocol{ImitationParams{}};
+  std::vector<RoundEvents> rounds;
+  EngineInvocation call;
+  call.options.max_rounds = kFixtureRounds;
+  call.cached_stop = cached_stop_from_spec("nash");
+  call.observer = [&rounds](const CongestionGame&, const State&,
+                            std::span<const Migration> moves,
+                            std::int64_t round, bool final) {
+    if (!final) rounds.push_back({round, {moves.begin(), moves.end()}});
+  };
+  const RunResult result = run_dynamics(game, x, protocol, rng, call);
+
+  EXPECT_EQ(result.rounds, kFixtureRounds);
+  ASSERT_EQ(rounds.size(), log.rounds.size());
+  for (std::size_t i = 0; i < rounds.size(); ++i) {
+    EXPECT_EQ(rounds[i].round, log.rounds[i].round);
+    ASSERT_EQ(rounds[i].moves.size(), log.rounds[i].moves.size())
+        << "round " << i;
+    for (std::size_t m = 0; m < rounds[i].moves.size(); ++m) {
+      EXPECT_EQ(rounds[i].moves[m].from, log.rounds[i].moves[m].from);
+      EXPECT_EQ(rounds[i].moves[m].to, log.rounds[i].moves[m].to);
+      EXPECT_EQ(rounds[i].moves[m].count, log.rounds[i].moves[m].count)
+          << "round " << i << " move " << m;
+    }
+  }
+  EXPECT_TRUE(x == load_state(game, fixture("final_v1.cidstate")));
+  EXPECT_TRUE(x == final_snapshot.state());
+  EXPECT_EQ(rng.state(), final_snapshot.rng_state);
 }
 
 TEST(PersistCompat, V1ManifestLoadsAgainstItsGrid) {

@@ -535,6 +535,11 @@ int main(int argc, char** argv) {
       std::printf("trace written to %s (%zu events)\n",
                   opt.trace_path.c_str(), events);
     }
+  } catch (const input_error& e) {
+    // An unreadable --game or --start state: file: bad input, like a bad
+    // flag value.
+    std::fprintf(stderr, "cid_sim: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cid_sim: %s\n", e.what());
     return 1;
