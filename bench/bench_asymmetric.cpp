@@ -38,6 +38,16 @@ AsymmetricState skewed_start(const AsymmetricGame& game) {
   return AsymmetricState(game, std::move(counts));
 }
 
+/// One concurrent class-local round on the batched engine, applied. `ws`
+/// keeps the latency cache of one trajectory current across its rounds.
+void step(const AsymmetricGame& game, AsymmetricState& x,
+          const AsymmetricImitationParams& params, Rng& rng,
+          AsymmetricRoundWorkspace& ws, AsymmetricRoundResult& rr) {
+  draw_asymmetric_round(game, x, params, rng, ws, rr);
+  x.apply(game, rr.moves, ws.apply_scratch);
+  ws.ctx.refresh(ws.apply_scratch.touched);
+}
+
 }  // namespace
 
 int main() {
@@ -56,8 +66,10 @@ int main() {
       Rng rng(0xE15 + static_cast<std::uint64_t>(trial));
       AsymmetricState x = skewed_start(game);
       const double phi0 = game.potential(x);
+      AsymmetricRoundWorkspace ws;
+      AsymmetricRoundResult rr;
       for (int round = 0; round < 10; ++round) {
-        step_asymmetric_round(game, x, params, rng);
+        step(game, x, params, rng, ws, rr);
       }
       stat.add((game.potential(x) - phi0) / 10.0);
     }
@@ -82,10 +94,12 @@ int main() {
     for (int trial = 0; trial < kTrials; ++trial) {
       Rng rng(0x15E + static_cast<std::uint64_t>(trial));
       AsymmetricState x = skewed_start(game);
+      AsymmetricRoundWorkspace ws;
+      AsymmetricRoundResult rr;
       std::int64_t round = 0;
       for (; round < 200000; ++round) {
         if (is_asymmetric_imitation_stable(game, x, game.nu())) break;
-        step_asymmetric_round(game, x, params, rng);
+        step(game, x, params, rng, ws, rr);
       }
       rounds_stat.add(static_cast<double>(round));
       l0 += game.class_average_latency(x, 0);

@@ -83,17 +83,16 @@ int main(int argc, char** argv) {
     const TrialSet noneq = run_trials(quick ? 2 : 5, 0x3E3, [&](Rng& rng) {
       State x = bench::geometric_skew_state(game);
       std::int64_t bad = 0;
-      RunOptions run_options;
-      run_options.max_rounds = 2000;
-      run_dynamics(game, x, protocol, rng, run_options,
-                   [&](const CongestionGame& g, const State& s,
-                       std::int64_t round) {
-                     if (round < 2000 &&
-                         !is_delta_eps_equilibrium(g, s, delta, eps)) {
-                       ++bad;
-                     }
-                     return false;
-                   });
+      EngineInvocation call;
+      call.options.max_rounds = 2000;
+      call.stop = [&](const CongestionGame& g, const State& s,
+                      std::int64_t round) {
+        if (round < 2000 && !is_delta_eps_equilibrium(g, s, delta, eps)) {
+          ++bad;
+        }
+        return false;
+      };
+      run_dynamics(game, x, protocol, rng, call);
       return static_cast<double>(bad);
     });
 

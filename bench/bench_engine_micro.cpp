@@ -24,19 +24,16 @@
 //   cell 7  ROW-FILL-BOUND: per-player, singleton m=256, n=4e3,
 //           exploration — wide rows that never prune and a cheap
 //           cumulative-scan draw, so nearly all wall-clock is the
-//           per-origin row fill. Prices the monomorphized ProtocolKernel
-//           + SIMD select loop against the virtual frontend
-//           (--baseline).
+//           per-origin row fill (the kernel's select loop).
 //   cell 8  ROW-FILL-BOUND: per-player, singleton m=512, n=2e3,
 //           imitation — k² row entries per round against only n·log k
 //           draw work, the most fill-dominated cell in the table.
 //
-// Flags: --quick (CI-sized round counts), --json PATH (see bench/common.hpp),
-// --baseline (run cells 5/6 on the pre-PR paths — uncached stop
-// predicates / per-pair asymmetric rounds — and cells 7/8 on the
-// virtual-frontend batched path (EngineTuning::virtual_frontend), i.e.
-// the pre-ProtocolKernel engine, to reproduce the speedup ratios quoted
-// above; not used by CI).
+// The baselines quoted above were measured by a since-retired --baseline
+// mode that ran cells 5-8 on the old paths; the last such A/B is recorded
+// in CHANGES.md.
+//
+// Flags: --quick (CI-sized round counts), --json PATH (see bench/common.hpp).
 #include <cstring>
 #include <string>
 
@@ -125,8 +122,7 @@ CellResult finish_cell(const WallTimer& timer, std::int64_t rounds,
 /// baseline therefore prices the instrumentation in, and the same-runner
 /// CI gate catches a hot-path metrics regression as a wall-clock one.
 CellResult run_cell(const CongestionGame& game, const Protocol& protocol,
-                    EngineMode mode, std::int64_t rounds,
-                    bool virtual_frontend = false) {
+                    EngineMode mode, std::int64_t rounds) {
   Rng rng(1);
   State x = State::uniform_random(game, rng);
   obs::EngineMetrics metrics;
@@ -134,10 +130,6 @@ CellResult run_cell(const CongestionGame& game, const Protocol& protocol,
   call.options.max_rounds = rounds;
   call.options.mode = mode;
   call.options.metrics = &metrics;
-  // Pins the VirtualKernel adapter (virtual dispatch per row) instead of
-  // the monomorphized kernel — the pre-ProtocolKernel batched path,
-  // bitwise-identical output by contract, so only wall-clock moves.
-  call.options.virtual_frontend = virtual_frontend;
   const WallTimer timer;
   const RunResult rr = run_dynamics(game, x, protocol, rng, call);
   return finish_cell(timer, rr.rounds, rr.latency_evals, rr.total_movers,
@@ -149,65 +141,43 @@ CellResult run_cell(const CongestionGame& game, const Protocol& protocol,
 /// evaluation that dominates converged-phase workloads (imitation_gap
 /// never short-circuits, so the check cost is state-independent and the
 /// workload stays fixed; the gap stays positive for this game/budget).
-/// --baseline swaps in the context-free predicate, i.e. the
-/// pre-cached-predicates engine.
 CellResult run_stopcheck_cell(const CongestionGame& game,
-                              const Protocol& protocol, std::int64_t rounds,
-                              bool baseline) {
+                              const Protocol& protocol, std::int64_t rounds) {
   Rng rng(1);
   State x = State::uniform_random(game, rng);
   obs::EngineMetrics metrics;
-  RunOptions options;
-  options.max_rounds = rounds;
-  options.mode = EngineMode::kAggregate;
-  options.metrics = &metrics;
+  EngineInvocation call;
+  call.options.max_rounds = rounds;
+  call.options.mode = EngineMode::kAggregate;
+  call.options.metrics = &metrics;
+  call.cached_stop = [](const LatencyContext& ctx, std::int64_t) {
+    return !(imitation_gap(ctx) > 0.0);
+  };
   const WallTimer timer;
-  RunResult rr;
-  if (baseline) {
-    const StopPredicate stop = [](const CongestionGame& g, const State& s,
-                                  std::int64_t) {
-      return !(imitation_gap(g, s) > 0.0);
-    };
-    rr = run_dynamics(game, x, protocol, rng, options, stop);
-  } else {
-    const CachedStopPredicate stop = [](const LatencyContext& ctx,
-                                        std::int64_t) {
-      return !(imitation_gap(ctx) > 0.0);
-    };
-    rr = run_dynamics(game, x, protocol, rng, options, stop);
-  }
+  const RunResult rr = run_dynamics(game, x, protocol, rng, call);
   return finish_cell(timer, rr.rounds, rr.latency_evals, rr.total_movers,
                      metrics);
 }
 
-/// Cell 6: the class-local engine. --baseline drives the per-pair
-/// reference path (pre-batching state of the asymmetric engine).
+/// Cell 6: the class-local engine.
 CellResult run_asymmetric_cell(const AsymmetricGame& game,
-                               std::int64_t rounds, bool baseline) {
+                               std::int64_t rounds) {
   Rng rng(1);
   AsymmetricState x = AsymmetricState::uniform_random(game, rng);
   const AsymmetricImitationParams params;
   obs::EngineMetrics metrics;
   const WallTimer timer;
   std::int64_t movers = 0;
-  std::int64_t evals = 0;
-  if (baseline) {
-    for (std::int64_t r = 0; r < rounds; ++r) {
-      movers += step_asymmetric_round(game, x, params, rng).movers;
-    }
-  } else {
-    AsymmetricRoundWorkspace ws;
-    AsymmetricRoundResult rr;
-    for (std::int64_t r = 0; r < rounds; ++r) {
-      draw_asymmetric_round(game, x, params, rng, ws, rr, /*row_threads=*/1,
-                            &metrics);
-      x.apply(game, rr.moves, ws.apply_scratch);
-      ws.ctx.refresh(ws.apply_scratch.touched);
-      movers += rr.movers;
-    }
-    evals = ws.ctx.latency_evals();
+  AsymmetricRoundWorkspace ws;
+  AsymmetricRoundResult rr;
+  for (std::int64_t r = 0; r < rounds; ++r) {
+    draw_asymmetric_round(game, x, params, rng, ws, rr, /*row_threads=*/1,
+                          &metrics);
+    x.apply(game, rr.moves, ws.apply_scratch);
+    ws.ctx.refresh(ws.apply_scratch.touched);
+    movers += rr.movers;
   }
-  return finish_cell(timer, rounds, evals, movers, metrics);
+  return finish_cell(timer, rounds, ws.ctx.latency_evals(), movers, metrics);
 }
 
 }  // namespace
@@ -215,10 +185,8 @@ CellResult run_asymmetric_cell(const AsymmetricGame& game,
 int main(int argc, char** argv) {
   using cid::bench::JsonReport;
   bool quick = false;
-  bool baseline = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--baseline") == 0) baseline = true;
   }
 
   const ImitationProtocol imitation;
@@ -283,44 +251,31 @@ int main(int argc, char** argv) {
   }
   {
     const std::int64_t rounds = quick ? 400 : 2000;
-    record(5,
-           baseline ? "stopcheck m=64 n=1e6 UNCACHED"
-                    : "stopcheck m=64 n=1e6",
-           rounds,
-           run_stopcheck_cell(singleton_large, imitation, rounds, baseline));
+    record(5, "stopcheck m=64 n=1e6", rounds,
+           run_stopcheck_cell(singleton_large, imitation, rounds));
   }
   {
     const std::int64_t rounds = quick ? 400 : 2000;
-    record(6,
-           baseline ? "asymmetric k=17x4 PER-PAIR" : "asymmetric k=17x4",
-           rounds, run_asymmetric_cell(asym, rounds, baseline));
+    record(6, "asymmetric k=17x4", rounds, run_asymmetric_cell(asym, rounds));
   }
-  // Cells 7/8: row-fill-bound workloads pricing the monomorphized
-  // ProtocolKernel + SIMD row against the virtual frontend (--baseline).
+  // Cells 7/8: row-fill-bound workloads.
   const ExplorationProtocol exploration;
   const auto singleton_wide = make_monomial_fan_game(256, 1.0, 1.0, 4000);
   const auto singleton_pp_wide = make_monomial_fan_game(512, 1.0, 1.0, 2000);
   {
     const std::int64_t rounds = quick ? 160 : 800;
-    record(7,
-           baseline ? "perplayer singleton m=256 explore VIRTUAL"
-                    : "perplayer singleton m=256 explore",
-           rounds,
+    record(7, "perplayer singleton m=256 explore", rounds,
            run_cell(singleton_wide, exploration, EngineMode::kPerPlayer,
-                    rounds, baseline));
+                    rounds));
   }
   {
     const std::int64_t rounds = quick ? 60 : 300;
-    record(8,
-           baseline ? "perplayer singleton m=512 VIRTUAL"
-                    : "perplayer singleton m=512",
-           rounds,
+    record(8, "perplayer singleton m=512", rounds,
            run_cell(singleton_pp_wide, imitation, EngineMode::kPerPlayer,
-                    rounds, baseline));
+                    rounds));
   }
   table.print(std::string("engine micro (fixed workloads") +
-              (quick ? ", --quick" : "") + (baseline ? ", --baseline" : "") +
-              ")");
+              (quick ? ", --quick" : "") + ")");
   report.write_if_requested(argc, argv);
   return 0;
 }

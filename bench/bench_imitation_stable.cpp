@@ -9,10 +9,12 @@
 // has one improving move whose migration probability shrinks as ~1/ℓmax;
 // the measured hitting time grows linearly in ℓmax while ν stays fixed —
 // the pseudopolynomial blow-up.
+#include <array>
 #include <cmath>
 #include <cstdio>
 
 #include "common.hpp"
+#include "protocols/kernel.hpp"
 
 using namespace cid;
 
@@ -81,7 +83,12 @@ void part_b() {
     double theory = 0.0;
     for (std::int64_t x1 = 1; x1 <= 2; ++x1) {
       const State s(game, {n - x1, x1});
-      const double p = protocol.move_probability(game, s, 0, 1);
+      // p = p_01(s): entry 1 of origin 0's imitation row.
+      LatencyContext ctx;
+      ctx.reset(game, s);
+      std::array<double, 2> row{};
+      ImitationKernel(protocol).fill_row(game, ctx, 0, row);
+      const double p = row[1];
       const double cohort = static_cast<double>(n - x1);
       theory += 1.0 / (1.0 - std::pow(1.0 - p, cohort));
     }

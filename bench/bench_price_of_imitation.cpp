@@ -55,11 +55,11 @@ int main() {
       const TrialSet set = run_trials(25, 0x10E1, [&](Rng& rng) {
         State x = State::uniform_random(game, rng);
         const State initial = x;
-        RunOptions options;
-        options.max_rounds = 200000;
-        options.check_interval = 8;
-        run_dynamics(game, x, protocol, rng, options,
-                     bench::stop_at_imitation_stable());
+        EngineInvocation call;
+        call.options.max_rounds = 200000;
+        call.options.check_interval = 8;
+        call.stop = bench::stop_at_imitation_stable();
+        run_dynamics(game, x, protocol, rng, call);
         if (any_resource_extinct(initial, x)) ++extinctions;
         const double ratio =
             social_cost(game, x) / analysis.fractional_cost;

@@ -140,10 +140,11 @@ HittingTime time_to(const CongestionGame& game, const Protocol& protocol,
   int converged = 0;
   const TrialSet set = run_trials(trials, seed, [&](Rng& rng) {
     State x = make_start(rng);
-    RunOptions options;
-    options.max_rounds = max_rounds;
-    options.check_interval = check_interval;
-    const RunResult rr = run_dynamics(game, x, protocol, rng, options, stop);
+    EngineInvocation call;
+    call.options.max_rounds = max_rounds;
+    call.options.check_interval = check_interval;
+    call.stop = stop;
+    const RunResult rr = run_dynamics(game, x, protocol, rng, call);
     if (rr.converged) ++converged;
     return static_cast<double>(rr.rounds);
   });

@@ -23,14 +23,12 @@ Outcome run(const cid::CongestionGame& game, const cid::Protocol& protocol,
   // Everyone piles onto the two slow links; the fast link (id 2) is unused.
   cid::State x(game, {game.num_players() / 2,
                       game.num_players() - game.num_players() / 2, 0});
-  cid::RunOptions options;
-  options.max_rounds = max_rounds;
-  options.check_interval = 32;
-  const auto result = cid::run_dynamics(
-      game, x, protocol, rng, options,
-      [](const cid::CongestionGame& g, const cid::State& s, std::int64_t) {
-        return cid::is_nash(g, s);
-      });
+  cid::EngineInvocation call;
+  call.options.max_rounds = max_rounds;
+  call.options.check_interval = 32;
+  call.stop = [](const cid::CongestionGame& g, const cid::State& s,
+                 std::int64_t) { return cid::is_nash(g, s); };
+  const auto result = cid::run_dynamics(game, x, protocol, rng, call);
   return Outcome{result.rounds, cid::is_nash(game, x),
                  cid::social_cost(game, x), x.count(2)};
 }

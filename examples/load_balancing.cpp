@@ -36,14 +36,14 @@ int main() {
     cid::State x = cid::State::uniform_random(game, rng);
     const cid::State initial = x;
     const cid::ImitationProtocol protocol;
-    cid::RunOptions options;
-    options.max_rounds = 100000;
-    options.check_interval = 8;
-    const auto result = cid::run_dynamics(
-        game, x, protocol, rng, options,
-        [](const cid::CongestionGame& g, const cid::State& s, std::int64_t) {
-          return cid::is_imitation_stable(g, s, g.nu());
-        });
+    cid::EngineInvocation call;
+    call.options.max_rounds = 100000;
+    call.options.check_interval = 8;
+    call.stop = [](const cid::CongestionGame& g, const cid::State& s,
+                   std::int64_t) {
+      return cid::is_imitation_stable(g, s, g.nu());
+    };
+    const auto result = cid::run_dynamics(game, x, protocol, rng, call);
     const double sc = cid::social_cost(game, x);
     const double ratio = sc / analysis.fractional_cost;
     worst_ratio = std::max(worst_ratio, ratio);

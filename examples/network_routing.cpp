@@ -38,19 +38,18 @@ int main() {
   std::int64_t first_approx_round = -1;
   const cid::ImitationProtocol protocol;
   cid::TraceRecorder trace(game, x, 25);
-  cid::RunOptions options;
-  options.max_rounds = 100000;
-  const auto result = cid::run_dynamics(
-      game, x, protocol, rng, options,
-      [&](const cid::CongestionGame& g, const cid::State& s,
-          std::int64_t round) {
-        if (first_approx_round < 0 &&
-            cid::is_delta_eps_equilibrium(g, s, delta, eps)) {
-          first_approx_round = round;
-        }
-        return cid::is_imitation_stable(g, s, g.nu());
-      },
-      trace.observer());
+  cid::EngineInvocation call;
+  call.options.max_rounds = 100000;
+  call.stop = [&](const cid::CongestionGame& g, const cid::State& s,
+                  std::int64_t round) {
+    if (first_approx_round < 0 &&
+        cid::is_delta_eps_equilibrium(g, s, delta, eps)) {
+      first_approx_round = round;
+    }
+    return cid::is_imitation_stable(g, s, g.nu());
+  };
+  call.observer = trace.observer();
+  const auto result = cid::run_dynamics(game, x, protocol, rng, call);
 
   trace.to_table().print("imitation on a 3x2 layered network (n=5000)");
   const auto report = cid::check_delta_eps_nu(game, x, delta, eps, game.nu());

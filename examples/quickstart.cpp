@@ -22,14 +22,15 @@ int main() {
   const cid::ImitationProtocol protocol;  // Protocol 1, default λ = 1/4
   cid::TraceRecorder trace(game, x, /*sample_interval=*/10);
 
-  cid::RunOptions options;
-  options.max_rounds = 5000;
-  const auto stop = [](const cid::CongestionGame& g, const cid::State& s,
-                       std::int64_t) {
+  cid::EngineInvocation call;
+  call.options.max_rounds = 5000;
+  call.stop = [](const cid::CongestionGame& g, const cid::State& s,
+                 std::int64_t) {
     return cid::is_imitation_stable(g, s, g.nu());
   };
-  const cid::RunResult result = cid::run_dynamics(
-      game, x, protocol, rng, options, stop, trace.observer());
+  call.observer = trace.observer();
+  const cid::RunResult result =
+      cid::run_dynamics(game, x, protocol, rng, call);
 
   trace.to_table().print("imitation dynamics trace (every 10th round)");
   std::printf("\nconverged: %s after %lld rounds (%lld migrations)\n",

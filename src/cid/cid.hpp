@@ -7,11 +7,12 @@
 //   cid::Rng rng(42);
 //   auto x = cid::State::uniform_random(game, rng);
 //   cid::ImitationProtocol protocol;
-//   auto stop = [&](const cid::CongestionGame& g, const cid::State& s,
+//   cid::EngineInvocation call;
+//   call.stop = [&](const cid::CongestionGame& g, const cid::State& s,
 //                   std::int64_t) {
 //     return cid::is_delta_eps_equilibrium(g, s, 0.05, 0.05);
 //   };
-//   auto run = cid::run_dynamics(game, x, protocol, rng, {}, stop);
+//   auto run = cid::run_dynamics(game, x, protocol, rng, call);
 #pragma once
 
 #include "analysis/experiment.hpp"    // IWYU pragma: export

@@ -1,11 +1,7 @@
 // Batched class-local round kernel for asymmetric (multi-commodity)
-// congestion games — the asymmetric mirror of dynamics/engine.hpp.
-//
-// The class-local imitation dynamics (paper §3's closing remark, realized
-// in game/asymmetric.hpp) used to run the per-pair path only: every
-// (class, origin, destination) triple re-evaluated ℓ_P(x) and
-// ℓ_Q(x+1_Q−1_P) from the latency functions. This module ports the
-// symmetric kernel's machinery over:
+// congestion games — the asymmetric mirror of dynamics/engine.hpp, and
+// the only engine the class-local imitation dynamics (paper §3's closing
+// remark, realized in game/asymmetric.hpp) run on:
 //
 //   * AsymmetricLatencyContext — the shared ℓ_e(x_e)/ℓ_e(x_e+1) resource
 //     tables (classes share the resource set) plus PER-CLASS ℓ_{c,P}(x)
@@ -14,24 +10,23 @@
 //   * AsymmetricProtocolKernel — the statically-dispatched row interface
 //     (the asymmetric mirror of ProtocolKernel in protocols/kernel.hpp),
 //     modeled by AsymmetricImitationKernel over
-//     fill_asymmetric_move_probabilities: one cached row per (class,
-//     origin) over the class support, zero latency-function calls;
+//     fill_asymmetric_move_probabilities, the one place the class-local
+//     imitation formula is written: one cached row per (class, origin)
+//     over the class support, zero latency-function calls;
 //   * draw_asymmetric_round<K> — the batched aggregate draw, templated
 //     over the kernel, with the same support/improvement pruning as the
 //     symmetric engine (origins whose row is provably zero skip the fill
 //     AND the multinomial; no RNG is consumed either way) and optional
 //     row_threads fan-out of the pure row fills across persistent
 //     sweep-pool workers with a deterministic serial draw phase. The
-//     params-taking overload is the type-erased-free frontend the CLIs
-//     and scenario layer call (imitation is the only asymmetric protocol,
-//     so there is no dispatch chain here — EngineTuning::virtual_frontend
-//     is inert for this engine);
+//     params-taking overload is the frontend the CLIs and scenario layer
+//     call (imitation is the only asymmetric protocol, so there is no
+//     dispatch chain here);
 //   * cached overloads of the class-wise stop predicates.
 //
-// Bitwise contract: identical migrations and identical RNG stream to
-// draw_asymmetric_round_reference (the per-pair oracle retained in
-// game/asymmetric.hpp), enforced by tests/test_engine_oracle.cpp —
-// checkpoints and manifests are interchangeable between the two paths.
+// Bitwise contract: identical migrations and identical RNG stream to the
+// per-pair class-local oracle in tests/protocol_oracle.hpp, enforced by
+// tests/test_engine_oracle.cpp.
 #pragma once
 
 #include <algorithm>
@@ -125,7 +120,7 @@ class AsymmetricLatencyContext {
 
 /// Cached row fill over the class support: out[j] receives the marginal
 /// probability of the support[j] destination (0 at `from`'s own slot),
-/// bitwise identical to asymmetric_move_probability per entry. `out`
+/// bitwise identical to the per-pair class-local formula per entry. `out`
 /// spans exactly support.size() entries.
 void fill_asymmetric_move_probabilities(
     const AsymmetricGame& game, const AsymmetricLatencyContext& ctx,

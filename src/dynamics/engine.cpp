@@ -1,5 +1,5 @@
 // Type-erased frontend over the monomorphized engines: every entrypoint
-// resolves its virtual Protocol to a concrete kernel once per call
+// resolves its Protocol handle to a concrete kernel once per call
 // (dispatch_protocol_kernel) and forwards to the templates in
 // dynamics/engine_kernel.hpp. No round logic lives here.
 #include "dynamics/engine.hpp"
@@ -35,11 +35,10 @@ void draw_round(const CongestionGame& game, const State& x,
                 const Protocol& protocol, Rng& rng, EngineMode mode,
                 RoundWorkspace& ws, RoundResult& out, int row_threads,
                 obs::EngineMetrics* metrics, bool trace) {
-  dispatch_protocol_kernel(protocol, /*force_virtual=*/false,
-                           [&](const auto& kernel) {
-                             draw_round(game, x, kernel, rng, mode, ws, out,
-                                        row_threads, metrics, trace);
-                           });
+  dispatch_protocol_kernel(protocol, [&](const auto& kernel) {
+    draw_round(game, x, kernel, rng, mode, ws, out, row_threads, metrics,
+               trace);
+  });
 }
 
 RoundResult draw_round(const CongestionGame& game, const State& x,
@@ -48,14 +47,6 @@ RoundResult draw_round(const CongestionGame& game, const State& x,
   RoundResult out;
   draw_round(game, x, protocol, rng, mode, ws, out);
   return out;
-}
-
-RoundResult draw_round_reference(const CongestionGame& game, const State& x,
-                                 const Protocol& protocol, Rng& rng,
-                                 EngineMode mode) {
-  // The reference oracle is per-pair virtual move_probability by
-  // definition — always the VirtualKernel, never a monomorphized one.
-  return draw_round_reference(game, x, VirtualKernel(protocol), rng, mode);
 }
 
 RoundResult step_round(const CongestionGame& game, State& x,
@@ -68,48 +59,9 @@ RoundResult step_round(const CongestionGame& game, State& x,
 RunResult run_dynamics(const CongestionGame& game, State& x,
                        const Protocol& protocol, Rng& rng,
                        const EngineInvocation& call) {
-  // reference_kernel implies the virtual frontend: the per-pair oracle is
-  // defined over Protocol::move_probability, so the audit hook must not
-  // swap in a monomorphized kernel underneath it.
-  const bool force_virtual =
-      call.options.reference_kernel || call.options.virtual_frontend;
-  return dispatch_protocol_kernel(
-      protocol, force_virtual, [&](const auto& kernel) {
-        return run_dynamics(game, x, kernel, rng, call);
-      });
-}
-
-RunResult run_dynamics(const CongestionGame& game, State& x,
-                       const Protocol& protocol, Rng& rng,
-                       const RunOptions& options, const StopPredicate& stop,
-                       const RoundObserver& observer) {
-  EngineInvocation call;
-  call.options = options;
-  call.stop = stop;
-  call.observer = observer;
-  return run_dynamics(game, x, protocol, rng, call);
-}
-
-RunResult run_dynamics(const CongestionGame& game, State& x,
-                       const Protocol& protocol, Rng& rng,
-                       const RunOptions& options,
-                       const CachedStopPredicate& stop,
-                       const RoundObserver& observer) {
-  EngineInvocation call;
-  call.options = options;
-  call.cached_stop = stop;
-  call.observer = observer;
-  return run_dynamics(game, x, protocol, rng, call);
-}
-
-RunResult run_dynamics(const CongestionGame& game, State& x,
-                       const Protocol& protocol, Rng& rng,
-                       const RunOptions& options, std::nullptr_t,
-                       const RoundObserver& observer) {
-  EngineInvocation call;
-  call.options = options;
-  call.observer = observer;
-  return run_dynamics(game, x, protocol, rng, call);
+  return dispatch_protocol_kernel(protocol, [&](const auto& kernel) {
+    return run_dynamics(game, x, kernel, rng, call);
+  });
 }
 
 }  // namespace cid

@@ -13,20 +13,19 @@
 //     given x), but independent of n. This engine is what makes the
 //     paper's "logarithmic in n" claim (Thm 7) cheap to test at n = 10^6.
 //
-// Both engines run on a BATCHED, cache-backed kernel: a per-round
+// Both engines run on a batched, cache-backed kernel: a per-round
 // LatencyContext (game/latency_context.hpp) is maintained incrementally
 // across rounds — State::apply reports the touched resources — and each
 // origin's probability row is produced by one ProtocolKernel::fill_row
-// call instead of k virtual per-pair calls. The round loop itself is
-// MONOMORPHIZED over the kernel (dynamics/engine_kernel.hpp): the five
-// engine phases (stop check, row fill, draw, apply, cache refresh) are
-// templates over the ProtocolKernel concept (protocols/kernel.hpp), so
-// the paper's protocols run with zero virtual dispatch on the hot path
-// and singleton row fills take an auto-vectorizable select loop under
-// CID_SIMD. This header is the TYPE-ERASED FRONTEND over those
-// templates: every entrypoint below takes the virtual Protocol, resolves
-// it to its concrete kernel once per call (dispatch_protocol_kernel),
-// and is bitwise-identical to the templated API it wraps.
+// call. The round loop itself is monomorphized over the kernel
+// (dynamics/engine_kernel.hpp): the five engine phases (stop check, row
+// fill, draw, apply, cache refresh) are templates over the ProtocolKernel
+// concept (protocols/kernel.hpp), so the paper's protocols run with zero
+// virtual dispatch on the hot path. This header is the type-erased
+// frontend over those templates: every entrypoint below takes the
+// Protocol handle, resolves it to its concrete kernel once per call
+// (dispatch_protocol_kernel), and is bitwise-identical to the templated
+// API it wraps.
 //
 // run_dynamics owns a reusable RoundWorkspace, so steady-state rounds
 // perform no heap allocation and no latency-function evaluation beyond
@@ -39,21 +38,17 @@
 // across persistent sweep-pool workers with a deterministic serial draw
 // phase.
 //
-// Every kernel consumes the RNG stream identically to the per-pair
-// reference path (draw_round_reference / EngineTuning::reference_kernel)
-// and produces bitwise-identical rounds — enforced by
-// tests/test_engine_oracle.cpp and tests/test_kernel_concepts.cpp — so
-// checkpoints, event logs, and sweep manifests are interchangeable
-// between all of them. (One deliberate pre-refactor delta, invisible at
-// any realistic scale: the per-player engine now locates the destination
-// bucket against cumulative sums instead of iterated subtraction, which
-// can shift a boundary by an ulp.)
+// The per-pair formulas of the paper, an uncached per-pair round and a
+// reference run loop live in the test-only tests/protocol_oracle.hpp;
+// tests/test_engine_oracle.cpp and tests/test_kernel_concepts.cpp hold
+// these engines bitwise equal to them — same migrations, same RNG stream
+// — so checkpoints, event logs and sweep manifests depend only on
+// (game, state, protocol, seed).
 //
 // Migrations are collected against the pre-round state and applied
 // atomically — the definition of concurrency in this model.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -107,23 +102,9 @@ RowBounds compute_row_bounds(const CongestionGame& game, const State& x,
 /// them enters a sweep-manifest grid fingerprint (persist/manifest.*
 /// serializes only the semantic DynamicsConfig fields).
 struct EngineTuning {
-  /// Testing hook: drive every round through the per-pair reference oracle
-  /// (draw_round_reference) instead of the batched kernel. Bitwise-
-  /// identical output either way — the oracle-equivalence suite flips this
-  /// flag to prove it on whole runs.
-  bool reference_kernel = false;
-  /// Audit hook: keep the batched round kernel but force the VirtualKernel
-  /// adapter (virtual dispatch per row) instead of the monomorphized
-  /// kernel dispatch_protocol_kernel would pick — i.e. the exact
-  /// pre-redesign batched path. Bitwise-identical by contract; the kernel
-  /// identity tests and bench_engine_micro --baseline flip this to prove
-  /// and to price the devirtualized/SIMD path. Implied by
-  /// reference_kernel; inert in the asymmetric engine (whose only kernel
-  /// is imitation).
-  bool virtual_frontend = false;
   /// Worker threads for the per-origin probability-row fills inside one
   /// round (see draw_round). 1 = serial (default); results are bitwise
-  /// identical for every value. Ignored by the reference kernel.
+  /// identical for every value.
   int row_threads = 1;
   /// Scenario-layer switch: collect per-trial obs::EngineMetrics. The core
   /// engine ignores it (RunOptions::metrics, the pointer the scenario
@@ -160,8 +141,7 @@ struct RunResult {
   std::int64_t total_movers = 0;  // migrations summed over THIS invocation
   /// Latency-function evaluations the batched kernel performed this
   /// invocation (cache resets + incremental refreshes; stop predicates and
-  /// observers are not counted). 0 under reference_kernel, which does not
-  /// meter its per-pair evaluations.
+  /// observers are not counted).
   std::int64_t latency_evals = 0;
 };
 
@@ -200,15 +180,6 @@ void draw_round(const CongestionGame& game, const State& x,
                 RoundWorkspace& ws, RoundResult& out, int row_threads = 1,
                 obs::EngineMetrics* metrics = nullptr, bool trace = false);
 
-/// PER-PAIR REFERENCE ORACLE: the pre-batching engine, driving every pair
-/// through Protocol::move_probability with no caching. Consumes the RNG
-/// stream identically to draw_round and must produce bitwise-identical
-/// results (tests/test_engine_oracle.cpp); kept as the ground truth the
-/// batched kernel is audited against.
-RoundResult draw_round_reference(const CongestionGame& game, const State& x,
-                                 const Protocol& protocol, Rng& rng,
-                                 EngineMode mode);
-
 /// Draws and applies one round; returns what moved.
 RoundResult step_round(const CongestionGame& game, State& x,
                        const Protocol& protocol, Rng& rng, EngineMode mode);
@@ -229,19 +200,14 @@ using StopPredicate = std::function<bool(const CongestionGame&,
 /// Cache-backed stop predicate: receives the run's own LatencyContext,
 /// already consistent with the current state, so equilibrium checks
 /// (dynamics/equilibrium.hpp cached overloads) reuse the round kernel's
-/// ℓ_P/ℓ_e tables instead of recomputing every latency per check. Under
-/// EngineTuning::reference_kernel the engine hands it a freshly rebuilt
-/// context instead (no cache reuse — the oracle path stays cache-free).
+/// ℓ_P/ℓ_e tables instead of recomputing every latency per check.
 using CachedStopPredicate =
     std::function<bool(const LatencyContext&, std::int64_t round)>;
 
 /// One complete run_dynamics call, as data: options plus the (optional)
 /// stop predicate — at most one of `stop` / `cached_stop` may be non-empty;
 /// both empty means "run to max_rounds" — plus the (optional) observer.
-/// This replaces the old three-overload set (StopPredicate /
-/// CachedStopPredicate / nullptr_t disambiguator) with one entrypoint
-/// that composes: build it field by field, pass it anywhere, extend it
-/// without another overload.
+/// Build it field by field and pass it to run_dynamics.
 struct EngineInvocation {
   RunOptions options;
   StopPredicate stop;
@@ -257,31 +223,5 @@ struct EngineInvocation {
 RunResult run_dynamics(const CongestionGame& game, State& x,
                        const Protocol& protocol, Rng& rng,
                        const EngineInvocation& call);
-
-// ---- Deprecated shims -------------------------------------------------------
-// The pre-EngineInvocation overload set, kept so existing callers compile.
-// Each one just packs its arguments into an EngineInvocation. Deprecated:
-// new code should build an EngineInvocation (these carry no attribute only
-// because the repo builds with -Werror and existing tests still call them).
-
-/// DEPRECATED shim for run_dynamics(game, x, protocol, rng, invocation).
-RunResult run_dynamics(const CongestionGame& game, State& x,
-                       const Protocol& protocol, Rng& rng,
-                       const RunOptions& options, const StopPredicate& stop,
-                       const RoundObserver& observer = nullptr);
-
-/// DEPRECATED shim (cached-stop variant).
-RunResult run_dynamics(const CongestionGame& game, State& x,
-                       const Protocol& protocol, Rng& rng,
-                       const RunOptions& options,
-                       const CachedStopPredicate& stop,
-                       const RoundObserver& observer = nullptr);
-
-/// DEPRECATED shim (the PR 5 nullptr_t disambiguator: "no stop predicate"
-/// — run to max_rounds).
-RunResult run_dynamics(const CongestionGame& game, State& x,
-                       const Protocol& protocol, Rng& rng,
-                       const RunOptions& options, std::nullptr_t,
-                       const RoundObserver& observer = nullptr);
 
 }  // namespace cid

@@ -2,7 +2,7 @@
 // the ProtocolKernel concept (protocols/kernel.hpp).
 //
 // This header is the engine's actual implementation; dynamics/engine.cpp
-// is a thin type-erased frontend that resolves a virtual Protocol to its
+// is a thin type-erased frontend that resolves a Protocol handle to its
 // concrete kernel (dispatch_protocol_kernel) and calls down here. The
 // split exists so the hot path — per-origin row fills, prune checks,
 // multinomial/uniform draws — compiles once per kernel type with every
@@ -12,9 +12,10 @@
 // Templated callers (tests, benches, future engines) can use this API
 // directly with any ProtocolKernel model; everything here obeys the same
 // bitwise contract as the frontend: identical rows, identical RNG
-// consumption, interchangeable checkpoints (tests/test_kernel_concepts.cpp
-// proves it against both the VirtualKernel adapter and the per-pair
-// reference oracle).
+// consumption, interchangeable checkpoints. tests/test_kernel_concepts.cpp
+// and tests/test_engine_oracle.cpp prove it against the per-pair oracle
+// in tests/protocol_oracle.hpp, whose OracleKernel also runs through these
+// templates.
 #pragma once
 
 #include <algorithm>
@@ -73,9 +74,10 @@ void dcheck_pruned_row([[maybe_unused]] const CongestionGame& game,
 #endif
 }
 
-/// Shared by both per-player paths (batched binary search and reference
-/// linear scan): the cumulative row the single uniform is compared
-/// against. One definition ⇒ identical floating-point boundaries.
+/// The per-player engine's cumulative row, which each player's single
+/// uniform is compared against. The test-side per-pair oracle builds its
+/// row with this same function, so both see identical floating-point
+/// boundaries.
 inline void build_cumulative(std::span<const double> probs,
                              std::vector<double>& cumulative) {
   cumulative.resize(probs.size());
@@ -247,82 +249,6 @@ void draw_per_player(const CongestionGame& game, const State& x,
   }
 }
 
-// ---- Per-pair reference oracle ----------------------------------------------
-
-/// Move probabilities out of `from` toward every strategy (the entry for
-/// `from` itself is 0), one move_probability oracle call per pair.
-template <ProtocolKernel K>
-std::vector<double> outgoing_probabilities_reference(
-    const CongestionGame& game, const State& x, const K& kernel,
-    StrategyId from) {
-  const auto k = static_cast<std::size_t>(game.num_strategies());
-  std::vector<double> probs(k, 0.0);
-  for (std::size_t j = 0; j < k; ++j) {
-    if (static_cast<StrategyId>(j) == from) continue;
-    probs[j] =
-        kernel.move_probability(game, x, from, static_cast<StrategyId>(j));
-  }
-  dcheck_row(probs, from);
-  return probs;
-}
-
-template <ProtocolKernel K>
-RoundResult draw_reference_aggregate(const CongestionGame& game,
-                                     const State& x, const K& kernel,
-                                     Rng& rng,
-                                     const std::vector<StrategyId>& support) {
-  RoundResult result;
-  for (StrategyId from : support) {
-    const auto probs = outgoing_probabilities_reference(game, x, kernel, from);
-    const auto counts = rng.multinomial(x.count(from), probs);
-    for (std::size_t j = 0; j < counts.size(); ++j) {
-      if (counts[j] == 0) continue;
-      result.moves.push_back(
-          Migration{from, static_cast<StrategyId>(j), counts[j]});
-      result.movers += counts[j];
-    }
-  }
-  return result;
-}
-
-template <ProtocolKernel K>
-RoundResult draw_reference_per_player(const CongestionGame& game,
-                                      const State& x, const K& kernel,
-                                      Rng& rng,
-                                      const std::vector<StrategyId>& support) {
-  // Accumulate per-(from,to) counts; the per-player draws are i.i.d. given
-  // x, so aggregation loses nothing. Destinations are located by LINEAR
-  // scan over the same cumulative row the batched kernel binary-searches —
-  // identical boundaries, identical single uniform per player.
-  RoundResult result;
-  std::vector<double> cumulative;
-  const auto k = static_cast<std::size_t>(game.num_strategies());
-  std::vector<std::int64_t> tally(k, 0);
-  for (StrategyId from : support) {
-    const auto probs = outgoing_probabilities_reference(game, x, kernel, from);
-    build_cumulative(probs, cumulative);
-    std::fill(tally.begin(), tally.end(), std::int64_t{0});
-    const std::int64_t cohort = x.count(from);
-    for (std::int64_t player = 0; player < cohort; ++player) {
-      const double u = rng.uniform();
-      for (std::size_t j = 0; j < k; ++j) {
-        if (u < cumulative[j]) {
-          ++tally[j];
-          break;
-        }
-      }
-      // Falling through every bucket = the player stays on `from`.
-    }
-    for (std::size_t j = 0; j < k; ++j) {
-      if (tally[j] == 0) continue;
-      result.moves.push_back(
-          Migration{from, static_cast<StrategyId>(j), tally[j]});
-      result.movers += tally[j];
-    }
-  }
-  return result;
-}
-
 }  // namespace engine_detail
 
 /// Workspace-backed monomorphized draw — the kernel-typed core of the
@@ -357,31 +283,11 @@ void draw_round(const CongestionGame& game, const State& x, const K& kernel,
   CID_ENSURE(false, "unreachable engine mode");
 }
 
-/// Per-pair reference oracle over a kernel's move_probability — the
-/// kernel-typed core of the engine.hpp draw_round_reference frontend.
-template <ProtocolKernel K>
-RoundResult draw_round_reference(const CongestionGame& game, const State& x,
-                                 const K& kernel, Rng& rng, EngineMode mode) {
-  const auto support = x.support();
-  switch (mode) {
-    case EngineMode::kAggregate:
-      return engine_detail::draw_reference_aggregate(game, x, kernel, rng,
-                                                     support);
-    case EngineMode::kPerPlayer:
-      return engine_detail::draw_reference_per_player(game, x, kernel, rng,
-                                                      support);
-  }
-  CID_ENSURE(false, "unreachable engine mode");
-  return {};
-}
-
 /// Monomorphized run loop — the kernel-typed core of the engine.hpp
 /// run_dynamics frontend. At most one of call.stop / call.cached_stop may
 /// be non-empty; both empty means "run to max_rounds". The cached
-/// predicate is handed the run's own workspace context on the batched
-/// path (reset lazily before the first check, incrementally refreshed
-/// afterwards) and a freshly rebuilt context per check on the reference
-/// path, so the oracle path stays free of incremental-cache state.
+/// predicate is handed the run's own workspace context (reset lazily
+/// before the first check, incrementally refreshed afterwards).
 template <ProtocolKernel K>
 RunResult run_dynamics(const CongestionGame& game, State& x, const K& kernel,
                        Rng& rng, const EngineInvocation& call) {
@@ -403,15 +309,10 @@ RunResult run_dynamics(const CongestionGame& game, State& x, const K& kernel,
   // dirtied and performs no heap allocation.
   RoundWorkspace ws;
   RoundResult rr;
-  LatencyContext reference_ctx;  // reference-path cached-stop scratch
   const bool has_stop = static_cast<bool>(call.stop) ||
                         static_cast<bool>(call.cached_stop);
   const auto stop_now = [&](std::int64_t round) -> bool {
     if (static_cast<bool>(call.cached_stop)) {
-      if (options.reference_kernel) {
-        reference_ctx.reset(game, x);
-        return call.cached_stop(reference_ctx, round);
-      }
       if (!ws.ready) {
         ws.ctx.reset(game, x);
         ws.ready = true;
@@ -441,25 +342,15 @@ RunResult run_dynamics(const CongestionGame& game, State& x, const K& kernel,
         break;
       }
     }
-    if (options.reference_kernel) {
-      {
-        obs::PhaseTimer draw_timer(m != nullptr ? &m->draw_ns : nullptr);
-        obs::TraceSpan draw_span(tr ? "engine.draw" : nullptr);
-        rr = draw_round_reference(game, x, kernel, rng, options.mode);
-      }
-      if (call.observer) call.observer(game, x, rr.moves, round, false);
+    draw_round(game, x, kernel, rng, options.mode, ws, rr,
+               options.row_threads, m, tr);
+    if (call.observer) call.observer(game, x, rr.moves, round, false);
+    {
       obs::PhaseTimer apply_timer(m != nullptr ? &m->apply_ns : nullptr);
       obs::TraceSpan apply_span(tr ? "engine.apply" : nullptr);
-      x.apply(game, rr.moves);
-    } else {
-      draw_round(game, x, kernel, rng, options.mode, ws, rr,
-                 options.row_threads, m, tr);
-      if (call.observer) call.observer(game, x, rr.moves, round, false);
-      {
-        obs::PhaseTimer apply_timer(m != nullptr ? &m->apply_ns : nullptr);
-        obs::TraceSpan apply_span(tr ? "engine.apply" : nullptr);
-        x.apply(game, rr.moves, ws.apply_scratch);
-      }
+      x.apply(game, rr.moves, ws.apply_scratch);
+    }
+    {
       obs::PhaseTimer refresh_timer(m != nullptr ? &m->ctx_refresh_ns
                                                  : nullptr);
       obs::TraceSpan refresh_span(tr ? "engine.ctx_refresh" : nullptr);

@@ -294,65 +294,7 @@ void AsymmetricState::check_consistent(const AsymmetricGame& game) const {
   CID_ENSURE(expect == congestion_, "congestion cache out of sync");
 }
 
-// ---- Dynamics ----------------------------------------------------------------
-
-double asymmetric_move_probability(const AsymmetricGame& game,
-                                   const AsymmetricState& x,
-                                   const AsymmetricImitationParams& params,
-                                   std::int32_t c, StrategyId from,
-                                   StrategyId to) {
-  CID_ENSURE(from != to, "move probability needs distinct strategies");
-  CID_ENSURE(params.lambda > 0.0 && params.lambda <= 1.0,
-             "lambda must be in (0, 1]");
-  const PlayerClass& cls = game.player_class(c);
-  if (cls.num_players < 2) return 0.0;  // nobody to sample
-  const std::int64_t targets = x.count(c, to);
-  if (targets == 0) return 0.0;
-  const double l_from = game.strategy_latency(x, c, from);
-  const double l_to = game.expost_latency(x, c, from, to);
-  const double nu = params.nu_cutoff ? game.nu() : 0.0;
-  if (!(l_from > l_to + nu)) return 0.0;
-  const double d = params.damping ? game.elasticity() : 1.0;
-  const double mu =
-      std::clamp(params.lambda / d * (l_from - l_to) / l_from, 0.0, 1.0);
-  const double sample = static_cast<double>(targets) /
-                        static_cast<double>(cls.num_players - 1);
-  return sample * mu;
-}
-
-AsymmetricRoundResult draw_asymmetric_round_reference(
-    const AsymmetricGame& game, const AsymmetricState& x,
-    const AsymmetricImitationParams& params, Rng& rng) {
-  AsymmetricRoundResult result;
-  for (std::int32_t c = 0; c < game.num_classes(); ++c) {
-    const auto support = x.support(c);
-    for (StrategyId from : support) {
-      std::vector<double> probs(support.size(), 0.0);
-      for (std::size_t j = 0; j < support.size(); ++j) {
-        if (support[j] == from) continue;
-        probs[j] = asymmetric_move_probability(game, x, params, c, from,
-                                               support[j]);
-      }
-      const auto counts = rng.multinomial(x.count(c, from), probs);
-      for (std::size_t j = 0; j < support.size(); ++j) {
-        if (counts[j] == 0) continue;
-        result.moves.push_back(
-            ClassMigration{c, from, support[j], counts[j]});
-        result.movers += counts[j];
-      }
-    }
-  }
-  return result;
-}
-
-AsymmetricRoundResult step_asymmetric_round(
-    const AsymmetricGame& game, AsymmetricState& x,
-    const AsymmetricImitationParams& params, Rng& rng) {
-  AsymmetricRoundResult result =
-      draw_asymmetric_round_reference(game, x, params, rng);
-  x.apply(game, result.moves);
-  return result;
-}
+// ---- Stability predicates ----------------------------------------------------
 
 bool is_asymmetric_imitation_stable(const AsymmetricGame& game,
                                     const AsymmetricState& x, double nu) {

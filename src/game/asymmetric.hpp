@@ -137,42 +137,22 @@ class AsymmetricState {
   std::vector<std::int64_t> congestion_;
 };
 
-// ---- Protocol + dynamics (class-local imitation) ----------------------------
+// ---- Class-local imitation: parameters, round result, stability -------------
 
+/// Parameters of the class-local imitation dynamics: a class-c player
+/// samples another player of its own class and copies its strategy with
+/// Protocol 1's μ. The formula and the round engine live in
+/// dynamics/asymmetric_engine.hpp.
 struct AsymmetricImitationParams {
   double lambda = 0.25;
   bool nu_cutoff = true;
   bool damping = true;
 };
 
-/// Marginal probability that one class-c player on `from` migrates to `to`
-/// this round: samples one of the other players *of its own class*
-/// uniformly, then accepts with Protocol 1's μ.
-double asymmetric_move_probability(const AsymmetricGame& game,
-                                   const AsymmetricState& x,
-                                   const AsymmetricImitationParams& params,
-                                   std::int32_t c, StrategyId from,
-                                   StrategyId to);
-
 struct AsymmetricRoundResult {
   std::vector<ClassMigration> moves;
   std::int64_t movers = 0;
 };
-
-/// PER-PAIR REFERENCE ORACLE: draws one concurrent round (without applying
-/// it) through asymmetric_move_probability, one virtual-free but uncached
-/// call per (class, origin, destination) triple. The batched class-local
-/// kernel (dynamics/asymmetric_engine.hpp) must reproduce it bitwise —
-/// same migrations, same RNG stream (tests/test_engine_oracle.cpp).
-AsymmetricRoundResult draw_asymmetric_round_reference(
-    const AsymmetricGame& game, const AsymmetricState& x,
-    const AsymmetricImitationParams& params, Rng& rng);
-
-/// One concurrent round (aggregate engine, reference path), drawn against
-/// the pre-round state and applied atomically.
-AsymmetricRoundResult step_asymmetric_round(
-    const AsymmetricGame& game, AsymmetricState& x,
-    const AsymmetricImitationParams& params, Rng& rng);
 
 /// No class-c player can improve by more than nu by copying a same-class
 /// player's strategy.

@@ -225,7 +225,10 @@ namespace {
 
 void write_text_file(const std::string& path, const std::string& text) {
   std::ofstream out(path);
-  CID_ENSURE(out.good(), "cannot open path for writing: " + path);
+  if (!out.good()) {
+    throw input_error("cannot open '" + path +
+                      "' for writing: " + std::strerror(errno));
+  }
   out << text;
   out.flush();
   CID_ENSURE(out.good(), "write failed (disk full?) for: " + path);
@@ -259,8 +262,15 @@ void save_game(const CongestionGame& game, const std::string& path) {
   write_text_file(path, serialize_game(game));
 }
 
+/// Malformed text in a user-named file is bad input too: the loaders
+/// rethrow any parse or validation failure as input_error naming the path.
 CongestionGame load_game(const std::string& path) {
-  return parse_game(read_text_file(path));
+  const std::string text = read_text_file(path);
+  try {
+    return parse_game(text);
+  } catch (const invariant_violation& e) {
+    throw input_error(path + ": " + e.what());
+  }
 }
 
 void save_state(const State& x, const std::string& path) {
@@ -268,7 +278,12 @@ void save_state(const State& x, const std::string& path) {
 }
 
 State load_state(const CongestionGame& game, const std::string& path) {
-  return parse_state(game, read_text_file(path));
+  const std::string text = read_text_file(path);
+  try {
+    return parse_state(game, text);
+  } catch (const invariant_violation& e) {
+    throw input_error(path + ": " + e.what());
+  }
 }
 
 }  // namespace cid

@@ -38,10 +38,11 @@ CongestionGame parse_game(const std::string& text);
 std::string serialize_state(const State& x);
 State parse_state(const CongestionGame& game, const std::string& text);
 
-/// A file named by the user cannot be opened or read. The message names
-/// the path and the system's reason; tools report it as bad input. It
-/// derives from invariant_violation, the type the loaders threw for this
-/// before, so callers that catch that type still catch it.
+/// A file named by the user cannot be opened, read or written, or its
+/// text does not parse. The message names the path and the reason; tools
+/// report it as bad input. It derives from invariant_violation, the type
+/// the loaders threw for this before, so callers that catch that type
+/// still catch it.
 class input_error : public invariant_violation {
  public:
   using invariant_violation::invariant_violation;
@@ -49,8 +50,10 @@ class input_error : public invariant_violation {
 
 /// File convenience wrappers. All writers flush and verify the stream
 /// before returning, throwing with the path name on any write failure —
-/// a full disk must never silently truncate an instance file. The loaders
-/// throw input_error when the file cannot be opened or read.
+/// a full disk must never silently truncate an instance file; a path that
+/// cannot be opened for writing throws input_error. The loaders throw
+/// input_error, prefixed with the path, when the file cannot be opened or
+/// read or its text is malformed.
 void save_game(const CongestionGame& game, const std::string& path);
 CongestionGame load_game(const std::string& path);
 void save_state(const State& x, const std::string& path);

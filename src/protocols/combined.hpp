@@ -17,22 +17,11 @@ class CombinedProtocol final : public Protocol {
   CombinedProtocol(ImitationParams imitation, ExplorationParams exploration,
                    double p_explore = 0.5);
 
-  double move_probability(const CongestionGame& game, const State& x,
-                          StrategyId from, StrategyId to) const override;
-
-  /// Cached-latency row fill (batched round kernel): ONE ex-post merge per
-  /// destination feeds both sub-protocols' cores — the per-pair path walks
-  /// that merge twice (once inside each sub-protocol).
-  void fill_move_probabilities(const CongestionGame& game,
-                               const LatencyContext& ctx, StrategyId from,
-                               std::span<double> out) const override;
-
   /// A combined row entry is p·explore + (1−p)·imitate; it is provably
   /// zero exactly when both sub-rows are (0.0·anything + anything·0.0
   /// stays 0.0 for the finite sub-probabilities involved).
   bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
-                         StrategyId from,
-                         const RowBounds& bounds) const override;
+                         StrategyId from, const RowBounds& bounds) const;
 
   std::string name() const override;
 

@@ -32,31 +32,11 @@ class ExplorationProtocol final : public Protocol {
  public:
   explicit ExplorationProtocol(ExplorationParams params = {});
 
-  double move_probability(const CongestionGame& game, const State& x,
-                          StrategyId from, StrategyId to) const override;
-
-  /// Cached-latency row fill (batched round kernel): one ex-post merge per
-  /// destination, zero latency-function calls, row constants (1/|P| and the
-  /// β/ℓ_min damping) hoisted out of the loop.
-  void fill_move_probabilities(const CongestionGame& game,
-                               const LatencyContext& ctx, StrategyId from,
-                               std::span<double> out) const override;
-
   /// Exploration samples ALL strategies (including empty ones), so its row
   /// is provably zero only when ℓ_P(x) <= min over every strategy of
   /// ℓ_Q(x) and plus-dominance lifts that to the ex-post latencies.
   bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
-                         StrategyId from,
-                         const RowBounds& bounds) const override;
-
-  /// Batched-kernel core shared with CombinedProtocol (see
-  /// ImitationProtocol::move_probability_cached).
-  double move_probability_cached(const CongestionGame& game, StrategyId from,
-                                 StrategyId to, double l_from,
-                                 double l_to) const;
-
-  double acceptance_probability(const CongestionGame& game, const State& x,
-                                StrategyId from, StrategyId to) const;
+                         StrategyId from, const RowBounds& bounds) const;
 
   std::string name() const override;
 

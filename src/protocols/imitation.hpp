@@ -65,37 +65,13 @@ class ImitationProtocol final : public Protocol {
  public:
   explicit ImitationProtocol(ImitationParams params = {});
 
-  double move_probability(const CongestionGame& game, const State& x,
-                          StrategyId from, StrategyId to) const override;
-
-  /// Cached-latency row fill (batched round kernel). Imitation's sampling
-  /// stage zeroes every empty destination (x_Q + v = 0), so those targets
-  /// skip the ex-post merge entirely — the row costs O(k) plus one merge
-  /// per *populated* destination, with zero latency-function calls.
-  void fill_move_probabilities(const CongestionGame& game,
-                               const LatencyContext& ctx, StrategyId from,
-                               std::span<double> out) const override;
-
   /// Imitation's row is all zero when no destination beats ℓ_P(x) by more
   /// than ν: ℓ_Q(x+1_Q−1_P) >= ℓ_Q(x) (plus-dominance) makes
   /// ℓ_P <= min ℓ_Q(x) + ν a proof. With virtual agents the sampling
   /// reaches empty strategies, so the min runs over ALL strategies;
   /// without, over the support only (empty targets are zeroed anyway).
   bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
-                         StrategyId from,
-                         const RowBounds& bounds) const override;
-
-  /// Batched-kernel core shared with CombinedProtocol: the pair probability
-  /// from pre-fetched ℓ_P(x) and ℓ_Q(x+1_Q−1_P). Bitwise identical to
-  /// move_probability for the same state.
-  double move_probability_cached(const CongestionGame& game, const State& x,
-                                 StrategyId from, StrategyId to,
-                                 double l_from, double l_to) const;
-
-  /// The acceptance probability μ_PQ alone (second stage of Protocol 1);
-  /// exposed for tests and for analytical comparisons.
-  double acceptance_probability(const CongestionGame& game, const State& x,
-                                StrategyId from, StrategyId to) const;
+                         StrategyId from, const RowBounds& bounds) const;
 
   std::string name() const override;
 
@@ -103,7 +79,6 @@ class ImitationProtocol final : public Protocol {
 
  private:
   double effective_nu(const CongestionGame& game) const;
-  double effective_d(const CongestionGame& game) const;
 
   ImitationParams params_;
 };

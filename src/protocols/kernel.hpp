@@ -1,44 +1,40 @@
 // ProtocolKernel concept: the statically-dispatched protocol interface the
 // templated round engines monomorphize over (dynamics/engine_kernel.hpp).
 //
-// The virtual Protocol class stays exactly what it was — the type-erased
-// frontend the CLIs and the scenario registry hold, and the per-pair
-// REFERENCE ORACLE (move_probability) every kernel is audited against. A
-// ProtocolKernel is the non-virtual mirror of its row API: `fill_row`,
-// `row_provably_zero`, and `move_probability` with the same bitwise
-// contracts, dispatched at compile time so the engines' five phases inline
-// the row fill instead of paying a virtual call per origin, and run a
-// branch-reduced select loop per row (gated by CID_SIMD).
+// Each paper protocol's formula is written exactly once, as its kernel's
+// row body: fill_row writes p_PQ(x) for every destination Q of one origin
+// P. The virtual Protocol class is only the type-erased handle the tools
+// and the scenario registry hold (params + name); the engines resolve it
+// to its kernel once per run, so the five engine phases inline the row
+// fill instead of paying a virtual call per origin.
 //
 // Layering (how a protocol reaches the hot path):
 //
-//   Protocol (virtual)  --dispatch_protocol_kernel-->  concrete kernel
-//     ImitationProtocol   -> ImitationKernel     (devirtualized row body)
-//     ExplorationProtocol -> ExplorationKernel   (devirtualized row body)
-//     CombinedProtocol    -> CombinedKernel      (devirtualized row body)
-//     anything else       -> VirtualKernel       (forwards virtually)
+//   Protocol (handle)  --dispatch_protocol_kernel-->  concrete kernel
+//     ImitationProtocol   -> ImitationKernel
+//     ExplorationProtocol -> ExplorationKernel
+//     CombinedProtocol    -> CombinedKernel
+//     anything else       -> error naming the protocol
 //
-// Each paper kernel writes its protocol formula once, as a row body
-// generic in the ex-post source ℓ_Q(x + 1_Q − 1_P), instantiated twice:
+// Each row body is generic in the ex-post source ℓ_Q(x + 1_Q − 1_P) and
+// instantiated twice:
 //
 //   singleton game -> SingletonExpost: ell/ell_plus select per destination
 //   network game   -> NetworkExpost:   per-origin ex-post table
 //                     (LatencyContext::expost_table), summed over each
 //                     destination's resources
 //
-// A new protocol therefore needs NO engine changes: implement the virtual
-// Protocol (correct immediately via VirtualKernel), and optionally add a
-// dedicated kernel + dispatch case when its row fill earns a fast path.
+// A new protocol is a new Protocol subclass plus a kernel modeling the
+// concept and one dispatch case; the engines need no changes.
 //
-// Bitwise contract: every kernel's fill_row writes the byte-identical row
-// the wrapped protocol's fill_move_probabilities writes, which in turn
-// mirrors move_probability per pair — so batched, monomorphized, SIMD, and
-// per-pair reference paths all consume the RNG identically and produce
-// interchangeable checkpoints (tests/test_kernel_concepts.cpp and
-// tests/test_engine_oracle.cpp enforce this). The row bodies preserve it
-// by construction: identical hoisted constants, identical expression
-// order, ex-post sources that add the merge walk's doubles in its order,
-// and ternary selects (never multiply-by-mask, which would turn a
+// Bitwise contract: every row equals, entry for entry, the per-pair
+// formula the paper writes — the test-only oracle in
+// tests/protocol_oracle.hpp keeps that formula per pair, and
+// tests/test_kernel_concepts.cpp and tests/test_engine_oracle.cpp compare
+// rows, rounds and whole runs against it bit for bit. The row bodies keep
+// it by construction: hoisted constants are the same doubles every pair,
+// ex-post sources add the merge walk's doubles in its order, and zero
+// cases are ternary selects (never multiply-by-mask, which would turn a
 // discarded-lane NaN into an output).
 #pragma once
 
@@ -53,59 +49,30 @@
 #include "game/congestion_game.hpp"
 #include "game/latency_context.hpp"
 #include "game/state.hpp"
-#include "latency/kernel.hpp"
 #include "protocols/combined.hpp"
 #include "protocols/exploration.hpp"
 #include "protocols/imitation.hpp"
 #include "protocols/protocol.hpp"
+#include "util/assert.hpp"
 
 namespace cid {
 
-/// The statically-dispatched protocol interface. Semantics (and bitwise
-/// contracts) of the three members are exactly those of the virtual
-/// Protocol methods they mirror: fill_row = fill_move_probabilities,
-/// row_provably_zero = row_provably_zero, move_probability = the per-pair
-/// reference oracle. Kernels are cheap value types (a pointer or two) the
-/// engines copy freely.
+/// The statically-dispatched protocol interface. fill_row writes the
+/// origin's whole probability row (out spans game.num_strategies()
+/// entries, out[from] = 0); row_provably_zero may return true only when
+/// every entry fill_row would write is 0.0, which lets the aggregate
+/// engine skip the fill and the draw (Rng::multinomial consumes nothing
+/// for zero categories, so the RNG stream is unchanged). Kernels are cheap
+/// value types (a pointer or two) the engines copy freely.
 template <typename K>
 concept ProtocolKernel =
     std::copy_constructible<K> &&
     requires(const K k, const CongestionGame& game, const LatencyContext& ctx,
-             const State& x, StrategyId from, StrategyId to,
-             std::span<double> out, const RowBounds& bounds) {
+             StrategyId from, std::span<double> out, const RowBounds& bounds) {
       { k.fill_row(game, ctx, from, out) } -> std::same_as<void>;
       { k.row_provably_zero(game, ctx, from, bounds) } -> std::same_as<bool>;
-      { k.move_probability(game, x, from, to) } -> std::same_as<double>;
       { k.name() } -> std::convertible_to<std::string>;
     };
-
-/// Type-erasure adapter: any virtual Protocol, presented as a kernel. This
-/// is the pre-redesign batched path, bit for bit — dispatch_protocol_kernel
-/// falls back to it for unrecognized protocols, and the engines force it
-/// (EngineTuning::virtual_frontend) when a caller wants the virtual
-/// frontend audited against the monomorphized kernels.
-class VirtualKernel {
- public:
-  explicit VirtualKernel(const Protocol& protocol) noexcept
-      : protocol_(&protocol) {}
-
-  void fill_row(const CongestionGame& game, const LatencyContext& ctx,
-                StrategyId from, std::span<double> out) const {
-    protocol_->fill_move_probabilities(game, ctx, from, out);
-  }
-  bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
-                         StrategyId from, const RowBounds& bounds) const {
-    return protocol_->row_provably_zero(game, ctx, from, bounds);
-  }
-  double move_probability(const CongestionGame& game, const State& x,
-                          StrategyId from, StrategyId to) const {
-    return protocol_->move_probability(game, x, from, to);
-  }
-  std::string name() const { return protocol_->name(); }
-
- private:
-  const Protocol* protocol_;
-};
 
 namespace kernel_detail {
 
@@ -154,10 +121,8 @@ inline std::vector<double>& expost_table_scratch() {
 /// The shared kernel surface: `Derived` supplies one row body per protocol
 /// formula, `fill_row_over(game, ctx, from, out, l_to)`, generic in the
 /// ex-post source `l_to(to)`, and fill_row instantiates it with the source
-/// that fits the game; the rest forwards to the final protocol's methods
-/// (direct, devirtualized calls). Under CID_SIMD=OFF fill_row delegates to
-/// the virtual row instead, which is what lets the cross-binary audit
-/// compare the two.
+/// that fits the game; row_provably_zero and name forward to the final
+/// protocol class (direct, devirtualized calls).
 template <typename ProtocolT, typename Derived>
 class RowKernel {
  public:
@@ -166,32 +131,24 @@ class RowKernel {
 
   void fill_row(const CongestionGame& game, const LatencyContext& ctx,
                 StrategyId from, std::span<double> out) const {
-    if constexpr (kSimdCompiled) {
-      const auto& self = static_cast<const Derived&>(*this);
-      const std::span<const Strategy> strategies = game.strategies();
-      if (game.is_singleton()) {
-        self.fill_row_over(
-            game, ctx, from, out,
-            SingletonExpost{strategies, ctx.resource_latencies(),
-                            ctx.resource_latencies_plus(),
-                            strategies[static_cast<std::size_t>(from)][0]});
-      } else {
-        self.fill_row_over(
-            game, ctx, from, out,
-            NetworkExpost{strategies,
-                          ctx.expost_table(from, expost_table_scratch())});
-      }
+    const auto& self = static_cast<const Derived&>(*this);
+    const std::span<const Strategy> strategies = game.strategies();
+    if (game.is_singleton()) {
+      self.fill_row_over(
+          game, ctx, from, out,
+          SingletonExpost{strategies, ctx.resource_latencies(),
+                          ctx.resource_latencies_plus(),
+                          strategies[static_cast<std::size_t>(from)][0]});
     } else {
-      protocol_->fill_move_probabilities(game, ctx, from, out);
+      self.fill_row_over(
+          game, ctx, from, out,
+          NetworkExpost{strategies,
+                        ctx.expost_table(from, expost_table_scratch())});
     }
   }
   bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
                          StrategyId from, const RowBounds& bounds) const {
     return protocol_->row_provably_zero(game, ctx, from, bounds);
-  }
-  double move_probability(const CongestionGame& game, const State& x,
-                          StrategyId from, StrategyId to) const {
-    return protocol_->move_probability(game, x, from, to);
   }
   std::string name() const { return protocol_->name(); }
 
@@ -201,9 +158,9 @@ class RowKernel {
 
 }  // namespace kernel_detail
 
-/// Monomorphized imitation kernel. One row body serves singleton and
-/// network games alike; the branchy zero cases of the virtual row become
-/// one ternary select per entry.
+/// Imitation (paper §2.3, Protocol 1): sample a player, copy its strategy
+/// Q with probability μ_PQ = (λ/d)·(ℓ_P − ℓ_Q(x+1_Q−1_P))/ℓ_P when that
+/// gain exceeds ν. One row body serves singleton and network games alike.
 class ImitationKernel
     : public kernel_detail::RowKernel<ImitationProtocol, ImitationKernel> {
  public:
@@ -216,9 +173,8 @@ class ImitationKernel
   void fill_row_over(const CongestionGame& game, const LatencyContext& ctx,
                      StrategyId from, std::span<double> out,
                      const ExpostSource& expost) const {
-    // Hoisted constants mirror ImitationProtocol::fill_move_probabilities
-    // term for term (effective nu/d reconstructed from the public params —
-    // same expressions as the private effective_* helpers).
+    // Row constants (effective ν and d from the public params, λ/d, the
+    // sampling pool) are the same doubles for every destination.
     const ImitationParams& params = protocol_->params();
     const std::span<const std::int64_t> counts = ctx.state().counts();
     const auto k = static_cast<std::size_t>(game.num_strategies());
@@ -239,10 +195,10 @@ class ImitationKernel
           static_cast<double>(targets) / static_cast<double>(pool);
       const double l_to = expost(to);
       const double mu = lambda_over_d * (l_from - l_to) / l_from;
-      // One select covering every zero case of the scalar loop, in the
-      // same semantics: self, empty target, vanished sample probability,
-      // or failed gain test. Dead lanes may compute inf/NaN in mu — the
-      // ternary discards them (never multiply-by-mask: 0 * NaN != 0).
+      // One select covering every zero case: self, empty target, vanished
+      // sample probability, or failed gain test. Dead lanes may compute
+      // inf/NaN in mu — the ternary discards them (never multiply-by-mask:
+      // 0 * NaN != 0).
       const bool moves = static_cast<StrategyId>(to) != from &&
                          targets != 0 && sample_prob != 0.0 &&
                          (l_from > l_to + nu);
@@ -251,7 +207,9 @@ class ImitationKernel
   }
 };
 
-/// Monomorphized exploration kernel (same layering as ImitationKernel).
+/// Exploration (paper §6, Protocol 2): sample a strategy uniformly, move
+/// on any strict improvement with probability
+/// μ_PQ = λ·min{1, |P|·ℓ_min/(β·n)}·(ℓ_P − ℓ_Q(x+1_Q−1_P))/ℓ_P.
 class ExplorationKernel
     : public kernel_detail::RowKernel<ExplorationProtocol, ExplorationKernel> {
  public:
@@ -264,10 +222,9 @@ class ExplorationKernel
   void fill_row_over(const CongestionGame& game, const LatencyContext& ctx,
                      StrategyId from, std::span<double> out,
                      const ExpostSource& expost) const {
-    // Mirrors ExplorationProtocol::fill_move_probabilities. Its
-    // non-improving entries are sample_prob * 0.0 — bitwise +0.0, since
-    // sample_prob = 1/k is positive and finite — so one 0.0 select covers
-    // both zero cases exactly.
+    // The per-pair formula's non-improving entries are sample_prob * 0.0 —
+    // bitwise +0.0, since sample_prob = 1/k is positive and finite — so
+    // one 0.0 select covers both zero cases exactly.
     const ExplorationParams& params = protocol_->params();
     const auto k = static_cast<std::size_t>(game.num_strategies());
     const double sample_prob =
@@ -290,9 +247,10 @@ class ExplorationKernel
   }
 };
 
-/// Monomorphized combined kernel: one ex-post read per destination feeds
-/// both sub-protocol cores, exactly as the scalar row fill shares one
-/// ex-post merge between them.
+/// Combined (paper §6, last paragraph): each player explores with
+/// probability p and imitates otherwise, so an entry is
+/// p·explore + (1−p)·imitate. One ex-post read per destination feeds both
+/// sub-protocol cores.
 class CombinedKernel
     : public kernel_detail::RowKernel<CombinedProtocol, CombinedKernel> {
  public:
@@ -305,13 +263,11 @@ class CombinedKernel
   void fill_row_over(const CongestionGame& game, const LatencyContext& ctx,
                      StrategyId from, std::span<double> out,
                      const ExpostSource& expost) const {
-    // Mirrors CombinedProtocol::fill_move_probabilities: per entry, the
-    // exact values the two move_probability_cached cores return, combined
-    // as p·explore + (1−p)·imitate in the same order. The exploration core
-    // returns sample_prob * 0.0 (== +0.0) for non-improving targets, so
-    // its select writes 0.0 exactly like the imitation-style cases. The
-    // cores' per-pair constants (β, ℓ_min, damping, ν, d) are hoisted once
-    // per row: the same doubles every pair, so hoisting changes no bit.
+    // Per entry, the exact values the two sub-protocol formulas give,
+    // combined as p·explore + (1−p)·imitate in that order. The exploration
+    // core's non-improving value is e_sample * 0.0 (== +0.0). The cores'
+    // per-pair constants (β, ℓ_min, damping, ν, d) are hoisted once per
+    // row: the same doubles every pair, so hoisting changes no bit.
     const ImitationParams& ip = protocol_->imitation().params();
     const ExplorationParams& ep = protocol_->exploration().params();
     const double p_explore = protocol_->p_explore();
@@ -319,7 +275,7 @@ class CombinedKernel
     const std::span<const std::int64_t> counts = ctx.state().counts();
     const auto k = static_cast<std::size_t>(game.num_strategies());
     const double l_from = ctx.strategy_latency(from);
-    // Imitation core constants (ImitationProtocol::move_probability_cached).
+    // Imitation core constants.
     const std::int64_t v = ip.virtual_agents;
     const std::int64_t pool =
         game.num_players() + v * game.num_strategies() -
@@ -328,7 +284,7 @@ class CombinedKernel
     const double d =
         ip.damping ? ip.elasticity_override.value_or(game.elasticity()) : 1.0;
     const double i_lambda_over_d = ip.lambda / d;
-    // Exploration core constants (ExplorationProtocol::move_probability_cached).
+    // Exploration core constants.
     const double e_sample =
         1.0 / static_cast<double>(game.num_strategies());
     const double beta = ep.beta_override.value_or(game.beta_slope());
@@ -359,34 +315,29 @@ class CombinedKernel
   }
 };
 
-static_assert(ProtocolKernel<VirtualKernel>);
 static_assert(ProtocolKernel<ImitationKernel>);
 static_assert(ProtocolKernel<ExplorationKernel>);
 static_assert(ProtocolKernel<CombinedKernel>);
 
 /// Resolves a type-erased Protocol to its concrete kernel and invokes
 /// `f(kernel)` — THE frontend/kernel boundary: one dynamic_cast chain per
-/// run (or per standalone draw), never per round. `force_virtual` pins the
-/// VirtualKernel adapter regardless of the dynamic type (the
-/// reference-oracle and virtual-frontend audit paths).
+/// run (or per standalone draw), never per round. A Protocol subclass with
+/// no kernel case here is an error naming it.
 template <typename F>
-decltype(auto) dispatch_protocol_kernel(const Protocol& protocol,
-                                        bool force_virtual, F&& f) {
-  if (!force_virtual) {
-    if (const auto* imitation =
-            dynamic_cast<const ImitationProtocol*>(&protocol)) {
-      return f(ImitationKernel(*imitation));
-    }
-    if (const auto* exploration =
-            dynamic_cast<const ExplorationProtocol*>(&protocol)) {
-      return f(ExplorationKernel(*exploration));
-    }
-    if (const auto* combined =
-            dynamic_cast<const CombinedProtocol*>(&protocol)) {
-      return f(CombinedKernel(*combined));
-    }
+decltype(auto) dispatch_protocol_kernel(const Protocol& protocol, F&& f) {
+  if (const auto* imitation =
+          dynamic_cast<const ImitationProtocol*>(&protocol)) {
+    return f(ImitationKernel(*imitation));
   }
-  return f(VirtualKernel(protocol));
+  if (const auto* exploration =
+          dynamic_cast<const ExplorationProtocol*>(&protocol)) {
+    return f(ExplorationKernel(*exploration));
+  }
+  if (const auto* combined = dynamic_cast<const CombinedProtocol*>(&protocol)) {
+    return f(CombinedKernel(*combined));
+  }
+  throw invariant_violation("dispatch_protocol_kernel: protocol '" +
+                            protocol.name() + "' has no kernel");
 }
 
 }  // namespace cid

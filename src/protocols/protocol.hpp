@@ -6,14 +6,14 @@
 //
 //   p_PQ(x) = P[a fixed player on P ends the round on Q | state x],
 //
-// which is what move_probability returns. The per-player engine draws each
+// which is what a protocol kernel's fill_row writes for every destination Q
+// of one origin P (protocols/kernel.hpp). The per-player engine draws each
 // player's destination from this categorical directly (exactly the protocol
 // law, with the two sampling stages marginalized out); the aggregate engine
 // draws the whole origin-strategy cohort as one multinomial — identical
 // joint law, since players act independently given x.
 #pragma once
 
-#include <span>
 #include <string>
 
 #include "game/congestion_game.hpp"
@@ -22,9 +22,9 @@
 
 namespace cid {
 
-/// Per-round state summary the aggregate engine hands to
-/// Protocol::row_provably_zero so a protocol can prove a whole origin row
-/// is zero without filling it. Computed once per round in O(k) (see
+/// Per-round state summary the aggregate engine hands to a kernel's
+/// row_provably_zero so a protocol can prove a whole origin row is zero
+/// without filling it. Computed once per round in O(k) (see
 /// compute_row_bounds in dynamics/engine.hpp).
 struct RowBounds {
   /// min_{Q : x_Q > 0} ℓ_Q(x) (+inf when the support is empty).
@@ -33,55 +33,20 @@ struct RowBounds {
   double min_latency = 0.0;
   /// LatencyContext::plus_dominates(): ℓ_e(x_e+1) >= ℓ_e(x_e) everywhere,
   /// hence ℓ_Q(x+1_Q−1_P) >= ℓ_Q(x) for every pair (term-by-term float
-  /// dominance; IEEE rounding is monotone). Every override must return
-  /// false when this is false — the bounds prove nothing then.
+  /// dominance; IEEE rounding is monotone). Every row_provably_zero must
+  /// return false when this is false — the bounds prove nothing then.
   bool plus_dominates = false;
 };
 
+/// A protocol as the tools and the scenario registry hold it: a
+/// type-erased handle over one of the concrete protocol classes, whose
+/// public params() (and p_explore() for the combined protocol) fully
+/// determine its formula. The formula itself lives once, in the
+/// protocol's kernel row body (protocols/kernel.hpp); the engines resolve
+/// a Protocol to that kernel once per run (dispatch_protocol_kernel).
 class Protocol {
  public:
   virtual ~Protocol() = default;
-
-  /// Marginal probability that a single player currently on `from` migrates
-  /// to `to` (!= from) this round, given the full pre-round state.
-  /// Must satisfy Σ_{to != from} move_probability(..) <= 1 for every state.
-  ///
-  /// This is the REFERENCE ORACLE: the batched round kernel must reproduce
-  /// it bit-for-bit (tests/test_engine_oracle.cpp), and the engine's
-  /// reference path still drives the dynamics through it.
-  virtual double move_probability(const CongestionGame& game, const State& x,
-                                  StrategyId from, StrategyId to) const = 0;
-
-  /// Batched row fill for the round kernel: writes move_probability(from,
-  /// to) for every strategy `to` into out[to] (out[from] = 0). `out` spans
-  /// exactly game.num_strategies() entries; `ctx` is the round's latency
-  /// cache, already consistent with the pre-round state.
-  ///
-  /// Contract: out[to] must be BITWISE identical to what move_probability
-  /// returns — the engines feed these rows straight into the RNG samplers,
-  /// so any drift would silently fork every replay/checkpoint artifact.
-  /// The default implementation is the per-pair loop itself (correct for
-  /// any protocol); the paper's protocols override it with cached-latency
-  /// versions that never call a latency function.
-  virtual void fill_move_probabilities(const CongestionGame& game,
-                                       const LatencyContext& ctx,
-                                       StrategyId from,
-                                       std::span<double> out) const;
-
-  /// Support/improvement pruning hook for the aggregate engine: return
-  /// true ONLY when every entry fill_move_probabilities would write for
-  /// `from` is provably 0.0 — then the engine skips the row fill AND the
-  /// multinomial draw. Bitwise-safe because Rng::multinomial consumes no
-  /// randomness for zero-probability categories, so skipping an all-zero
-  /// row leaves the RNG stream untouched (pinned by
-  /// tests/test_engine_distribution.cpp and the oracle suite).
-  ///
-  /// The default conservatively never prunes (correct for any protocol).
-  /// Overrides must be sound, not complete: returning false for a row
-  /// that happens to be zero merely costs time.
-  virtual bool row_provably_zero(const CongestionGame& game,
-                                 const LatencyContext& ctx, StrategyId from,
-                                 const RowBounds& bounds) const;
 
   virtual std::string name() const = 0;
 };

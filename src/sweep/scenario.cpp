@@ -119,30 +119,8 @@ persist::SimConfig trial_config(const ProtocolSpec& protocol,
   return config;
 }
 
-/// Context-free stop predicates — the reference path (and the oracle the
-/// cached predicates are audited against).
-StopPredicate make_stop(const DynamicsConfig& dynamics) {
-  switch (dynamics.stop) {
-    case StopRule::kImitationStable:
-      return [](const CongestionGame& g, const State& s, std::int64_t) {
-        return is_imitation_stable(g, s, g.nu());
-      };
-    case StopRule::kNash:
-      return [](const CongestionGame& g, const State& s, std::int64_t) {
-        return is_nash(g, s);
-      };
-    case StopRule::kDeltaEps: {
-      const double delta = dynamics.delta, eps = dynamics.eps;
-      return [delta, eps](const CongestionGame& g, const State& s,
-                          std::int64_t) {
-        return is_delta_eps_equilibrium(g, s, delta, eps);
-      };
-    }
-  }
-  throw std::runtime_error("unhandled stop rule");
-}
-
-/// Cache-backed stop predicates: bitwise-identical verdicts to make_stop
+/// Cache-backed stop predicates: bitwise-identical verdicts to the
+/// context-free predicates in dynamics/equilibrium.hpp
 /// (tests/test_equilibrium_cached.cpp), reading the run's own latency
 /// cache instead of re-evaluating every ℓ per check.
 CachedStopPredicate make_cached_stop(const DynamicsConfig& dynamics) {
@@ -288,17 +266,11 @@ class SymmetricInstance final : public ScenarioInstance {
       }
     }
 
-    // Batched trials route stop checks through the kernel's latency cache;
-    // reference trials keep the context-free predicates, so flipping
-    // reference_kernel audits the cached predicates end to end.
+    // Stop checks read the kernel's own latency cache.
     EngineInvocation call;
     call.options = options;
+    call.cached_stop = make_cached_stop(dynamics);
     call.observer = std::move(observer);
-    if (dynamics.reference_kernel) {
-      call.stop = make_stop(dynamics);
-    } else {
-      call.cached_stop = make_cached_stop(dynamics);
-    }
     const RunResult rr = run_dynamics(game_, x, *proto, rng, call);
     if (telemetry.has_value()) {
       telemetry->finish(rr.converged);
@@ -403,6 +375,8 @@ class AsymmetricInstance final : public ScenarioInstance {
     return label_ + ": " + game_.describe();
   }
 
+  const AsymmetricGame* asymmetric_game() const override { return &game_; }
+
   TrialOutcome run_trial(const ProtocolSpec& protocol,
                          const DynamicsConfig& dynamics, Rng& rng,
                          TrialStats* stats) const override {
@@ -443,10 +417,7 @@ class AsymmetricInstance final : public ScenarioInstance {
   /// The shared trial body over [start_round, dynamics.max_rounds).
   /// Stop checks use absolute round numbers, so a resumed loop replays
   /// the uninterrupted check cadence exactly. Rounds and stop checks run
-  /// on the batched class-local kernel (dynamics/asymmetric_engine.hpp)
-  /// unless dynamics.reference_kernel routes them through the per-pair
-  /// oracle and the context-free predicates — bitwise identical either
-  /// way (tests/test_engine_oracle.cpp).
+  /// on the batched class-local kernel (dynamics/asymmetric_engine.hpp).
   TrialOutcome run_loop(const ProtocolSpec& protocol,
                         const DynamicsConfig& dynamics, Rng& rng,
                         AsymmetricState& x, std::int64_t start_round,
@@ -466,18 +437,12 @@ class AsymmetricInstance final : public ScenarioInstance {
     params.nu_cutoff = protocol.nu_cutoff;
     params.damping = protocol.damping;
 
-    const bool reference = dynamics.reference_kernel;
     AsymmetricRoundWorkspace ws;
     AsymmetricRoundResult rr;
     // No Definition-1 evaluation exists for asymmetric games, so kDeltaEps
     // deliberately falls back to the stricter class-wise nu-stability
     // (documented on StopRule in scenario.hpp).
     auto stopped = [&](const AsymmetricState& s) {
-      if (reference) {
-        return dynamics.stop == StopRule::kNash
-                   ? is_asymmetric_nash(game_, s)
-                   : is_asymmetric_imitation_stable(game_, s, game_.nu());
-      }
       if (!ws.ready) {
         ws.ctx.reset(game_, s);
         ws.ready = true;
@@ -533,46 +498,23 @@ class AsymmetricInstance final : public ScenarioInstance {
           break;
         }
       }
-      if (reference) {
-        if (telemetry.has_value()) {
-          // Split draw/observe/apply so the recorder sees the pre-round
-          // state with the round's moves — identical migrations, RNG
-          // stream, and post-round state as step_asymmetric_round.
-          AsymmetricRoundResult ref;
-          {
-            obs::PhaseTimer draw_timer(m != nullptr ? &m->draw_ns : nullptr);
-            obs::TraceSpan draw_span(tr ? "engine.draw" : nullptr);
-            ref = draw_asymmetric_round_reference(game_, x, params, rng);
-          }
-          telemetry->observe(game_, x, ref.moves, round, false);
-          obs::PhaseTimer apply_timer(m != nullptr ? &m->apply_ns : nullptr);
-          obs::TraceSpan apply_span(tr ? "engine.apply" : nullptr);
-          x.apply(game_, ref.moves);
-          movers += ref.movers;
-        } else {
-          obs::PhaseTimer draw_timer(m != nullptr ? &m->draw_ns : nullptr);
-          obs::TraceSpan draw_span(tr ? "engine.draw" : nullptr);
-          movers += step_asymmetric_round(game_, x, params, rng).movers;
-        }
-      } else {
-        draw_asymmetric_round(game_, x, params, rng, ws, rr,
-                              dynamics.row_threads, m, tr);
-        if (telemetry.has_value()) {
-          telemetry->observe(game_, x, rr.moves, round, false);
-        }
-        {
-          obs::PhaseTimer apply_timer(m != nullptr ? &m->apply_ns : nullptr);
-          obs::TraceSpan apply_span(tr ? "engine.apply" : nullptr);
-          x.apply(game_, rr.moves, ws.apply_scratch);
-        }
-        {
-          obs::PhaseTimer refresh_timer(m != nullptr ? &m->ctx_refresh_ns
-                                                     : nullptr);
-          obs::TraceSpan refresh_span(tr ? "engine.ctx_refresh" : nullptr);
-          ws.ctx.refresh(ws.apply_scratch.touched);
-        }
-        movers += rr.movers;
+      draw_asymmetric_round(game_, x, params, rng, ws, rr,
+                            dynamics.row_threads, m, tr);
+      if (telemetry.has_value()) {
+        telemetry->observe(game_, x, rr.moves, round, false);
       }
+      {
+        obs::PhaseTimer apply_timer(m != nullptr ? &m->apply_ns : nullptr);
+        obs::TraceSpan apply_span(tr ? "engine.apply" : nullptr);
+        x.apply(game_, rr.moves, ws.apply_scratch);
+      }
+      {
+        obs::PhaseTimer refresh_timer(m != nullptr ? &m->ctx_refresh_ns
+                                                   : nullptr);
+        obs::TraceSpan refresh_span(tr ? "engine.ctx_refresh" : nullptr);
+        ws.ctx.refresh(ws.apply_scratch.touched);
+      }
+      movers += rr.movers;
       if (m != nullptr) ++m->rounds;
     }
     if (!out.converged) {

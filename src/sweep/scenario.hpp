@@ -98,12 +98,11 @@ enum class StopRule {
 /// The scenario layer's dynamics options. The tuning knobs — everything
 /// that can never change a trial's bits — live in the shared EngineTuning
 /// base (dynamics/engine.hpp), embedded by RunOptions too, so the two
-/// option surfaces cannot drift: reference_kernel / virtual_frontend /
-/// row_threads flow straight into the engine, collect_metrics /
-/// telemetry_every are realized here (as a RunOptions::metrics pointer and
-/// a telemetry RoundObserver; both no-ops without a TrialStats or under
-/// CID_METRICS=0; threshold-lb runs sequential dynamics and ignores the
-/// engine hooks entirely). Every EngineTuning field is EXCLUDED from
+/// option surfaces cannot drift: row_threads flows straight into the
+/// engine, collect_metrics / telemetry_every are realized here (as a
+/// RunOptions::metrics pointer and a telemetry RoundObserver; both no-ops
+/// without a TrialStats or under CID_METRICS=0; threshold-lb runs
+/// sequential dynamics and ignores the engine hooks entirely). Every EngineTuning field is EXCLUDED from
 /// manifest grid fingerprints — only the six semantic fields below enter
 /// them — so flipping a tuning knob resumes an existing sweep.
 struct DynamicsConfig : EngineTuning {
@@ -144,8 +143,7 @@ struct TrialCheckpoint {
 struct TrialStats {
   /// Latency-function evaluations the trial performed: the batched round
   /// kernel's cached-context count for the symmetric and asymmetric
-  /// scenarios (0 under reference_kernel, which does not meter its
-  /// per-pair evaluations), and the sequential dynamics' per-step
+  /// scenarios, and the sequential dynamics' per-step
   /// latency_of/latency_if_toggled sweeps for the threshold family.
   std::int64_t latency_evals = 0;
   /// Rounds (or sequential steps, for threshold-lb) this trial executed.
@@ -168,10 +166,12 @@ class ScenarioInstance {
 
   virtual std::string describe() const = 0;
 
-  /// The symmetric game this instance runs, shared read-only by its
-  /// trials; nullptr for families that are not a CongestionGame (the
-  /// asymmetric and threshold ones).
+  /// The game this instance runs, shared read-only by its trials: the
+  /// symmetric families answer congestion_game(), the asymmetric ones
+  /// asymmetric_game(); the other accessor (and both, for threshold-lb)
+  /// returns nullptr.
   virtual const CongestionGame* congestion_game() const { return nullptr; }
+  virtual const AsymmetricGame* asymmetric_game() const { return nullptr; }
 
   /// Runs one independent trial. Must be const and re-entrant: trials of
   /// the same instance run concurrently on different threads, each with

@@ -67,7 +67,7 @@ TEST(PotentialTracker, ResyncMatchesFullRebuildAndCountsIt) {
                                   std::int64_t, bool final) {
     if (!final) tracker.apply(g, s, moves);
   };
-  run_dynamics(game, x, protocol, rng, opts, nullptr, track);
+  run_dynamics(game, x, protocol, rng, EngineInvocation{opts, {}, {}, track});
   EXPECT_NEAR(tracker.value(), game.potential(x),
               1e-7 * (1.0 + game.potential(x)));
 
@@ -89,7 +89,8 @@ TEST(TraceRecorder, PotentialMatchesExactRecomputation) {
   const ImitationProtocol protocol;
   RunOptions opts;
   opts.max_rounds = 25;
-  run_dynamics(game, x, protocol, rng, opts, nullptr, recorder.observer());
+  run_dynamics(game, x, protocol, rng,
+               EngineInvocation{opts, {}, {}, recorder.observer()});
   EXPECT_NEAR(recorder.current_potential(), game.potential(x),
               1e-7 * (1.0 + game.potential(x)));
   // Records: rounds 0..24 at interval 1, plus final flush.
@@ -106,7 +107,8 @@ TEST(TraceRecorder, SamplingIntervalDownsamples) {
   const ImitationProtocol protocol;
   RunOptions opts;
   opts.max_rounds = 35;
-  run_dynamics(game, x, protocol, rng, opts, nullptr, recorder.observer());
+  run_dynamics(game, x, protocol, rng,
+               EngineInvocation{opts, {}, {}, recorder.observer()});
   // Rounds 0, 10, 20, 30 + final flush at 35.
   EXPECT_EQ(recorder.records().size(), 5u);
   // Potential tracker must remain exact despite downsampling.
@@ -121,7 +123,8 @@ TEST(TraceRecorder, TableHasExpectedShape) {
   const ImitationProtocol protocol;
   RunOptions opts;
   opts.max_rounds = 3;
-  run_dynamics(game, x, protocol, rng, opts, nullptr, recorder.observer());
+  run_dynamics(game, x, protocol, rng,
+               EngineInvocation{opts, {}, {}, recorder.observer()});
   const Table t = recorder.to_table();
   EXPECT_EQ(t.num_rows(), 4u);
   EXPECT_NE(t.to_string().find("potential"), std::string::npos);

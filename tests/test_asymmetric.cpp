@@ -6,6 +6,7 @@
 #include <array>
 
 #include "game/asymmetric.hpp"
+#include "protocol_oracle.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -107,15 +108,16 @@ TEST(AsymmetricMoveProbability, ClassLocalSampling) {
   // Class-0 player on link 0 (latency 8) copying link 1 (ex-post 8):
   // loads: link0=8, link1=7 (2 + 5), ex-post 8 → no strict improvement.
   EXPECT_DOUBLE_EQ(
-      asymmetric_move_probability(game, x, params, 0, 0, 1), 0.0);
+      oracle::asymmetric_move_probability(game, x, params, 0, 0, 1), 0.0);
   // Class-1 player on link 1 (latency 7) copying link 2 (ex-post 2): gain 5.
   // Sampling: 1 same-class player on strategy 1, pool 5 → 1/5.
-  const double p = asymmetric_move_probability(game, x, params, 1, 0, 1);
+  const double p =
+      oracle::asymmetric_move_probability(game, x, params, 1, 0, 1);
   EXPECT_NEAR(p, (1.0 / 5.0) * 0.25 * (7.0 - 2.0) / 7.0, 1e-12);
   // Unused target in class: zero.
   const AsymmetricState y(game, {{8, 2}, {6, 0}});
   EXPECT_DOUBLE_EQ(
-      asymmetric_move_probability(game, y, params, 1, 0, 1), 0.0);
+      oracle::asymmetric_move_probability(game, y, params, 1, 0, 1), 0.0);
 }
 
 TEST(AsymmetricDynamics, RoundConservesClassMass) {
@@ -124,7 +126,7 @@ TEST(AsymmetricDynamics, RoundConservesClassMass) {
   AsymmetricState x(game, {{180, 20}, {90, 10}});
   AsymmetricImitationParams params;
   for (int round = 0; round < 30; ++round) {
-    step_asymmetric_round(game, x, params, rng);
+    oracle::step_asymmetric_round(game, x, params, rng);
     x.check_consistent(game);
   }
 }
@@ -139,7 +141,7 @@ TEST(AsymmetricDynamics, PotentialIsSupermartingaleEmpirically) {
     AsymmetricState x(game, {{250, 50}, {30, 170}});
     const double phi0 = game.potential(x);
     for (int round = 0; round < 20; ++round) {
-      step_asymmetric_round(game, x, params, rng);
+      oracle::step_asymmetric_round(game, x, params, rng);
     }
     total_drift += game.potential(x) - phi0;
   }
@@ -153,7 +155,7 @@ TEST(AsymmetricDynamics, ConvergesToImitationStable) {
   AsymmetricImitationParams params;
   bool stable = false;
   for (int round = 0; round < 20000 && !stable; ++round) {
-    step_asymmetric_round(game, x, params, rng);
+    oracle::step_asymmetric_round(game, x, params, rng);
     stable = is_asymmetric_imitation_stable(game, x, game.nu());
   }
   EXPECT_TRUE(stable);
@@ -189,7 +191,7 @@ TEST(AsymmetricDynamics, SinglePlayerClassNeverMoves) {
   AsymmetricImitationParams params;
   params.nu_cutoff = false;
   EXPECT_DOUBLE_EQ(
-      asymmetric_move_probability(game, x, params, 0, 0, 1), 0.0);
+      oracle::asymmetric_move_probability(game, x, params, 0, 0, 1), 0.0);
 }
 
 }  // namespace

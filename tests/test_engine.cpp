@@ -7,6 +7,7 @@
 
 #include "dynamics/engine.hpp"
 #include "game/builders.hpp"
+#include "protocol_oracle.hpp"
 #include "protocols/imitation.hpp"
 #include "util/assert.hpp"
 
@@ -53,7 +54,7 @@ TEST(Engine, EnginesAgreeOnExpectedFlow) {
   const auto game = make_uniform_links_game(2, make_linear(1.0), 1000);
   const ImitationProtocol protocol;
   const State x0(game, {700, 300});
-  const double p01 = protocol.move_probability(game, x0, 0, 1);
+  const double p01 = oracle::move_probability(protocol, game, x0, 0, 1);
   const double expect = 700.0 * p01;
   const int kTrials = 3000;
   for (EngineMode mode : {EngineMode::kAggregate, EngineMode::kPerPlayer}) {
@@ -81,7 +82,7 @@ TEST(Engine, EnginesAgreeOnVariance) {
   const auto game = make_uniform_links_game(2, make_linear(1.0), 1000);
   const ImitationProtocol protocol;
   const State x0(game, {700, 300});
-  const double p01 = protocol.move_probability(game, x0, 0, 1);
+  const double p01 = oracle::move_probability(protocol, game, x0, 0, 1);
   const double true_var = 700.0 * p01 * (1.0 - p01);
   const int kTrials = 4000;
   for (EngineMode mode : {EngineMode::kAggregate, EngineMode::kPerPlayer}) {
@@ -135,11 +136,12 @@ TEST(Engine, RunStopsOnPredicate) {
   const ImitationProtocol protocol;
   RunOptions opts;
   opts.max_rounds = 10000;
-  const RunResult rr = run_dynamics(
-      game, x, protocol, rng, opts,
-      [](const CongestionGame&, const State& s, std::int64_t) {
-        return std::abs(s.count(0) - s.count(1)) <= 10;
-      });
+  const StopPredicate stop = [](const CongestionGame&, const State& s,
+                                std::int64_t) {
+    return std::abs(s.count(0) - s.count(1)) <= 10;
+  };
+  const RunResult rr = run_dynamics(game, x, protocol, rng,
+                                    EngineInvocation{opts, stop, {}, {}});
   EXPECT_TRUE(rr.converged);
   EXPECT_LT(rr.rounds, 10000);
   EXPECT_LE(std::abs(x.count(0) - x.count(1)), 10);
@@ -152,11 +154,10 @@ TEST(Engine, RunHonoursMaxRounds) {
   const ImitationProtocol protocol;
   RunOptions opts;
   opts.max_rounds = 5;
-  const RunResult rr = run_dynamics(
-      game, x, protocol, rng, opts,
-      [](const CongestionGame&, const State&, std::int64_t) {
-        return false;
-      });
+  const StopPredicate never = [](const CongestionGame&, const State&,
+                                 std::int64_t) { return false; };
+  const RunResult rr = run_dynamics(game, x, protocol, rng,
+                                    EngineInvocation{opts, never, {}, {}});
   EXPECT_FALSE(rr.converged);
   EXPECT_EQ(rr.rounds, 5);
 }
@@ -170,16 +171,16 @@ TEST(Engine, ObserverSeesEveryRoundAndFinalState) {
   opts.max_rounds = 7;
   std::int64_t calls = 0;
   bool saw_final = false;
-  run_dynamics(
-      game, x, protocol, rng, opts,
-      [](const CongestionGame&, const State&, std::int64_t) {
-        return false;
-      },
-      [&](const CongestionGame&, const State&,
-          std::span<const Migration> moves, std::int64_t round, bool final) {
-        ++calls;
-        if (final && moves.empty() && round == 7) saw_final = true;
-      });
+  const StopPredicate never = [](const CongestionGame&, const State&,
+                                 std::int64_t) { return false; };
+  const RoundObserver observer = [&](const CongestionGame&, const State&,
+                                     std::span<const Migration> moves,
+                                     std::int64_t round, bool final) {
+    ++calls;
+    if (final && moves.empty() && round == 7) saw_final = true;
+  };
+  run_dynamics(game, x, protocol, rng,
+               EngineInvocation{opts, never, {}, observer});
   EXPECT_EQ(calls, 8);  // 7 rounds + final flush
   EXPECT_TRUE(saw_final);
 }
@@ -193,11 +194,13 @@ TEST(Engine, CheckIntervalSkipsPredicateEvaluations) {
   opts.max_rounds = 100;
   opts.check_interval = 10;
   std::int64_t evaluations = 0;
-  run_dynamics(game, x, protocol, rng, opts,
-               [&](const CongestionGame&, const State&, std::int64_t) {
-                 ++evaluations;
-                 return false;
-               });
+  const StopPredicate counting = [&](const CongestionGame&, const State&,
+                                     std::int64_t) {
+    ++evaluations;
+    return false;
+  };
+  run_dynamics(game, x, protocol, rng,
+               EngineInvocation{opts, counting, {}, {}});
   EXPECT_EQ(evaluations, 11);  // rounds 0,10,...,90 plus the final check
 }
 
@@ -208,8 +211,9 @@ TEST(Engine, ValidatesOptions) {
   const ImitationProtocol protocol;
   RunOptions opts;
   opts.check_interval = 0;
-  EXPECT_THROW(run_dynamics(game, x, protocol, rng, opts, nullptr),
-               invariant_violation);
+  EXPECT_THROW(
+      run_dynamics(game, x, protocol, rng, EngineInvocation{opts, {}, {}, {}}),
+      invariant_violation);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "dynamics/engine.hpp"
 #include "game/builders.hpp"
 #include "game/latency_context.hpp"
+#include "protocol_oracle.hpp"
 #include "protocols/imitation.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -38,7 +39,7 @@ TEST(EngineDistribution, TwoSampleChiSquareAgreement) {
   const auto game = make_uniform_links_game(2, make_linear(1.0), 200);
   const State x(game, {150, 50});
   const ImitationProtocol protocol;
-  const double p = protocol.move_probability(game, x, 0, 1);
+  const double p = oracle::move_probability(protocol, game, x, 0, 1);
   const double mean = 150.0 * p;
   const auto max_bin =
       static_cast<std::size_t>(mean + 6.0 * std::sqrt(mean) + 2.0);
@@ -74,7 +75,7 @@ TEST(EngineDistribution, AggregateMatchesAnalyticBinomialPmf) {
   const auto game = make_uniform_links_game(2, make_linear(1.0), 100);
   const State x(game, {80, 20});
   const ImitationProtocol protocol;
-  const double p = protocol.move_probability(game, x, 0, 1);
+  const double p = oracle::move_probability(protocol, game, x, 0, 1);
   const std::int64_t cohort = 80;
   // Exact pmf by recurrence.
   const auto max_bin = static_cast<std::size_t>(
@@ -143,7 +144,7 @@ TEST(EngineDistribution, PruningPreservesDistributionAndRngStream) {
     for (int i = 0; i < 200; ++i) {
       const RoundResult pruned = draw_round(
           game, x, protocol, pruned_rng, EngineMode::kAggregate);
-      const RoundResult reference = draw_round_reference(
+      const RoundResult reference = oracle::draw_round_reference(
           game, x, protocol, reference_rng, EngineMode::kAggregate);
       ASSERT_EQ(pruned.moves, reference.moves) << "draw " << i;
       ASSERT_EQ(pruned_rng.state(), reference_rng.state()) << "draw " << i;
@@ -151,8 +152,8 @@ TEST(EngineDistribution, PruningPreservesDistributionAndRngStream) {
   }
 
   // (c) distribution-level agreement on independent streams.
-  const double p1 = protocol.move_probability(game, x, 0, 1);
-  const double p2 = protocol.move_probability(game, x, 0, 2);
+  const double p1 = oracle::move_probability(protocol, game, x, 0, 1);
+  const double p2 = oracle::move_probability(protocol, game, x, 0, 2);
   const double mean = 200.0 * (p1 + p2);
   const auto max_bin =
       static_cast<std::size_t>(mean + 6.0 * std::sqrt(mean) + 2.0);
@@ -163,7 +164,7 @@ TEST(EngineDistribution, PruningPreservesDistributionAndRngStream) {
   {
     Rng rng(77);
     for (int i = 0; i < kDraws; ++i) {
-      const RoundResult rr = draw_round_reference(
+      const RoundResult rr = oracle::draw_round_reference(
           game, x, protocol, rng, EngineMode::kAggregate);
       std::size_t movers = 0;
       for (const auto& mv : rr.moves) {
@@ -204,8 +205,8 @@ TEST(EngineDistribution, MultiDestinationJointLawHasNegativeCorrelation) {
   params.lambda = 1.0;
   params.nu_cutoff = false;
   const ImitationProtocol protocol(params);
-  const double p1 = protocol.move_probability(game, x, 0, 1);
-  const double p2 = protocol.move_probability(game, x, 0, 2);
+  const double p1 = oracle::move_probability(protocol, game, x, 0, 1);
+  const double p2 = oracle::move_probability(protocol, game, x, 0, 2);
   const double expected_cov = -260.0 * p1 * p2;
   for (EngineMode mode : {EngineMode::kAggregate, EngineMode::kPerPlayer}) {
     Rng rng(44);

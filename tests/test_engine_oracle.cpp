@@ -1,28 +1,28 @@
 // Oracle equivalence for the batched round kernel.
 //
-// The engine's hot path (cached LatencyContext + batched
-// Protocol::fill_move_probabilities + workspace draws) must be BITWISE
-// indistinguishable from the per-pair reference path (one virtual
-// move_probability call per (from, to) pair, no caching):
+// The engine's hot path (cached LatencyContext + the kernels' row bodies +
+// workspace draws) must be BITWISE indistinguishable from the per-pair
+// oracle in tests/protocol_oracle.hpp (one move_probability call per
+// (from, to) pair, no caching):
 //
-//   1. round level — draw_round vs draw_round_reference produce identical
-//      Migration lists AND consume the RNG stream identically, sustained
-//      over many applied rounds (so the incremental cache refresh is
-//      exercised, not just the initial full build), for all three
+//   1. round level — draw_round vs oracle::draw_round_reference produce
+//      identical Migration lists AND consume the RNG stream identically,
+//      sustained over many applied rounds (so the incremental cache refresh
+//      is exercised, not just the initial full build), for all three
 //      protocols x both engine modes x singleton and network games;
-//   2. probability level — fill_move_probabilities rows match the
-//      move_probability oracle bit-for-bit, including after incremental
-//      refreshes;
-//   3. trial level — every registry scenario family produces an identical
-//      TrialOutcome with DynamicsConfig::reference_kernel on and off: the
-//      symmetric families audit the batched kernel + cached stop
-//      predicates, the asymmetric families the batched class-local kernel
-//      (dynamics/asymmetric_engine.hpp) + cached class-wise predicates,
-//      and threshold-lb proves the flag is inert for sequential dynamics;
+//   2. probability level — kernel rows match the per-pair move_probability
+//      oracle bit-for-bit, including after incremental refreshes;
+//   3. run level — run_dynamics matches oracle::run_dynamics_reference on
+//      whole runs; every registry family with a round engine produces the
+//      TrialOutcome (and RNG stream) of the same trial replayed on the
+//      oracle's reference loops: the symmetric families audit the batched
+//      kernel + cached stop predicates, the asymmetric families the batched
+//      class-local kernel (dynamics/asymmetric_engine.hpp) + cached
+//      class-wise predicates;
 //   4. persistence level — a batched-kernel trial that is checkpointed,
-//      killed, and resumed bitwise-matches an uninterrupted REFERENCE-
-//      kernel trial, so checkpoint artifacts are interchangeable between
-//      kernels (symmetric AND asymmetric snapshot codecs);
+//      killed, and resumed bitwise-matches the uninterrupted trial on the
+//      reference loop, so checkpoint artifacts carry no trace of the kernel
+//      (symmetric AND asymmetric snapshot codecs);
 //   5. thread level — RunOptions/DynamicsConfig::row_threads ∈ {1, 2, 4}
 //      produce byte-identical trials and RNG streams (the parallel row
 //      fills are pure; the draw phase is serial either way).
@@ -37,12 +37,16 @@
 
 #include "dynamics/asymmetric_engine.hpp"
 #include "dynamics/engine.hpp"
+#include "dynamics/equilibrium.hpp"
 #include "game/asymmetric.hpp"
 #include "game/builders.hpp"
 #include "game/latency_context.hpp"
+#include "game/singleton.hpp"
+#include "protocol_oracle.hpp"
 #include "protocols/combined.hpp"
 #include "protocols/exploration.hpp"
 #include "protocols/imitation.hpp"
+#include "protocols/kernel.hpp"
 #include "sweep/scenario.hpp"
 #include "util/rng.hpp"
 
@@ -87,7 +91,7 @@ void expect_rounds_identical(const CongestionGame& game, EngineMode mode,
     RoundResult batched;
     for (std::int64_t round = 0; round < rounds; ++round) {
       draw_round(game, batched_x, *protocol, batched_rng, mode, ws, batched);
-      const RoundResult reference = draw_round_reference(
+      const RoundResult reference = oracle::draw_round_reference(
           game, reference_x, *protocol, reference_rng, mode);
       ASSERT_EQ(batched.moves, reference.moves) << "round " << round;
       ASSERT_EQ(batched.movers, reference.movers) << "round " << round;
@@ -138,11 +142,14 @@ TEST(EngineOracle, BatchedRowsMatchMoveProbabilityOracle) {
       SCOPED_TRACE(protocol->name());
       std::vector<double> row(k);
       for (StrategyId from = 0; from < game.num_strategies(); ++from) {
-        protocol->fill_move_probabilities(game, ctx, from, row);
+        dispatch_protocol_kernel(*protocol, [&](const auto& kernel) {
+          kernel.fill_row(game, ctx, from, row);
+        });
         for (StrategyId to = 0; to < game.num_strategies(); ++to) {
           const double oracle =
-              to == from ? 0.0
-                         : protocol->move_probability(game, x, from, to);
+              to == from
+                  ? 0.0
+                  : oracle::move_probability(*protocol, game, x, from, to);
           // Bitwise: EXPECT_EQ on doubles, not EXPECT_NEAR.
           ASSERT_EQ(row[static_cast<std::size_t>(to)], oracle)
               << "round " << round << " pair " << from << "->" << to;
@@ -164,18 +171,17 @@ TEST(EngineOracle, RunDynamicsMatchesAcrossKernels) {
   const auto game = make_monomial_fan_game(10, 2.0, 1.0, 20000);
   const ImitationProtocol protocol;
   for (EngineMode mode : {EngineMode::kAggregate, EngineMode::kPerPlayer}) {
-    RunOptions options;
-    options.max_rounds = mode == EngineMode::kAggregate ? 200 : 40;
-    options.mode = mode;
+    EngineInvocation call;
+    call.options.max_rounds = mode == EngineMode::kAggregate ? 200 : 40;
+    call.options.mode = mode;
     Rng batched_rng(7);
     State batched_x = State::uniform_random(game, batched_rng);
-    const RunResult batched = run_dynamics(game, batched_x, protocol,
-                                           batched_rng, options, nullptr);
-    options.reference_kernel = true;
+    const RunResult batched =
+        run_dynamics(game, batched_x, protocol, batched_rng, call);
     Rng reference_rng(7);
     State reference_x = State::uniform_random(game, reference_rng);
-    const RunResult reference = run_dynamics(
-        game, reference_x, protocol, reference_rng, options, nullptr);
+    const RunResult reference = oracle::run_dynamics_reference(
+        game, reference_x, protocol, reference_rng, call);
     EXPECT_EQ(batched.rounds, reference.rounds);
     EXPECT_EQ(batched.total_movers, reference.total_movers);
     EXPECT_TRUE(batched_x == reference_x);
@@ -220,8 +226,8 @@ TEST(EngineOracle, AsymmetricRoundsBitwiseIdentical) {
       draw_asymmetric_round(game, batched_x, params, batched_rng, ws,
                             batched);
       const AsymmetricRoundResult reference =
-          draw_asymmetric_round_reference(game, reference_x, params,
-                                          reference_rng);
+          oracle::draw_asymmetric_round_reference(game, reference_x, params,
+                                                  reference_rng);
       ASSERT_EQ(batched.moves.size(), reference.moves.size())
           << "round " << round;
       for (std::size_t i = 0; i < batched.moves.size(); ++i) {
@@ -269,7 +275,7 @@ TEST(EngineOracle, AsymmetricRowThreadsBitwiseInvariant) {
   EXPECT_EQ(rng_states[0], rng_states[2]);
 }
 
-// ---- All six registry scenario families -------------------------------------
+// ---- Registry scenario families ---------------------------------------------
 
 struct FamilyCase {
   const char* scenario;
@@ -278,25 +284,80 @@ struct FamilyCase {
   std::int64_t rounds;
 };
 
+// threshold-lb runs sequential dynamics, not a round engine, so it has no
+// per-pair round oracle and is not listed.
 const FamilyCase kFamilies[] = {
     {"singleton-uniform", 2000, "imitation", 60},
     {"load-balancing", 2000, "combined", 60},
     {"network-routing", 1500, "exploration", 60},
     {"asymmetric", 900, "imitation", 60},
     {"multicommodity", 900, "imitation", 60},
-    {"threshold-lb", 12, "imitation", 4000},
 };
 
-sweep::DynamicsConfig family_dynamics(std::int64_t rounds, bool reference) {
+sweep::DynamicsConfig family_dynamics(std::int64_t rounds) {
   sweep::DynamicsConfig dynamics;
   dynamics.max_rounds = rounds;
   dynamics.stop = sweep::StopRule::kNash;
   dynamics.check_interval = 3;
-  dynamics.reference_kernel = reference;
   return dynamics;
 }
 
-TEST(EngineOracle, AllSixScenarioFamiliesMatchReferenceKernel) {
+/// One trial of `instance` replayed on the oracle's reference loops with
+/// the context-free stop predicates: the registry's uniform-random start
+/// and kNash stop rule (the ones family_dynamics and the default `start`
+/// select), then the TrialOutcome fields the scenario layer reports.
+sweep::TrialOutcome reference_trial(const sweep::ScenarioInstance& instance,
+                                    const sweep::ProtocolSpec& spec,
+                                    const sweep::DynamicsConfig& dynamics,
+                                    Rng& rng) {
+  EXPECT_EQ(dynamics.stop, sweep::StopRule::kNash);
+  sweep::TrialOutcome out;
+  if (const CongestionGame* game = instance.congestion_game()) {
+    State x = State::uniform_random(*game, rng);
+    const auto protocol = sweep::build_protocol(spec);
+    EngineInvocation call;
+    call.options.max_rounds = dynamics.max_rounds;
+    call.options.check_interval = dynamics.check_interval;
+    call.options.mode = dynamics.mode;
+    call.stop = [](const CongestionGame& g, const State& s, std::int64_t) {
+      return is_nash(g, s);
+    };
+    const RunResult rr =
+        oracle::run_dynamics_reference(*game, x, *protocol, rng, call);
+    out.rounds = static_cast<double>(rr.rounds);
+    out.converged = rr.converged;
+    out.movers = rr.total_movers;
+    out.potential = game->potential(x);
+    out.social_cost = social_cost(*game, x);
+    return out;
+  }
+  const AsymmetricGame* game = instance.asymmetric_game();
+  if (game == nullptr) {
+    ADD_FAILURE() << "family has no round engine";
+    return out;
+  }
+  AsymmetricState x = AsymmetricState::uniform_random(*game, rng);
+  AsymmetricImitationParams params;
+  params.lambda = spec.lambda;
+  params.nu_cutoff = spec.nu_cutoff;
+  params.damping = spec.damping;
+  const oracle::AsymmetricReferenceRun run = oracle::run_asymmetric_reference(
+      *game, x, params, rng, dynamics.max_rounds, dynamics.check_interval,
+      /*nash=*/true);
+  out.rounds = static_cast<double>(run.rounds);
+  out.converged = run.converged;
+  out.movers = run.movers;
+  out.potential = game->potential(x);
+  double cost = 0.0;
+  for (std::int32_t c = 0; c < game->num_classes(); ++c) {
+    cost += game->class_average_latency(x, c) *
+            static_cast<double>(game->player_class(c).num_players);
+  }
+  out.social_cost = cost;
+  return out;
+}
+
+TEST(EngineOracle, ScenarioFamiliesMatchReferenceLoops) {
   for (const FamilyCase& c : kFamilies) {
     SCOPED_TRACE(c.scenario);
     sweep::ScenarioSpec spec;
@@ -307,10 +368,10 @@ TEST(EngineOracle, AllSixScenarioFamiliesMatchReferenceKernel) {
 
     Rng batched_rng(seed);
     const sweep::TrialOutcome batched = instance->run_trial(
-        protocol, family_dynamics(c.rounds, false), batched_rng);
+        protocol, family_dynamics(c.rounds), batched_rng);
     Rng reference_rng(seed);
-    const sweep::TrialOutcome reference = instance->run_trial(
-        protocol, family_dynamics(c.rounds, true), reference_rng);
+    const sweep::TrialOutcome reference = reference_trial(
+        *instance, protocol, family_dynamics(c.rounds), reference_rng);
     EXPECT_EQ(batched, reference);
     EXPECT_EQ(batched_rng.state(), reference_rng.state());
   }
@@ -331,7 +392,7 @@ TEST(EngineOracle, RowThreadsByteIdenticalTrials) {
     sweep::TrialOutcome first;
     std::array<std::uint64_t, 4> first_rng{};
     for (const int row_threads : {1, 2, 4}) {
-      sweep::DynamicsConfig dynamics = family_dynamics(50, false);
+      sweep::DynamicsConfig dynamics = family_dynamics(50);
       dynamics.row_threads = row_threads;
       Rng rng(77);
       const sweep::TrialOutcome outcome =
@@ -354,16 +415,16 @@ TEST(EngineOracle, RowThreadsByteIdenticalRunsBothModes) {
   const CombinedProtocol protocol{ImitationParams{}, ExplorationParams{},
                                   0.5};
   for (EngineMode mode : {EngineMode::kAggregate, EngineMode::kPerPlayer}) {
-    RunOptions options;
-    options.max_rounds = mode == EngineMode::kAggregate ? 60 : 25;
-    options.mode = mode;
+    EngineInvocation call;
+    call.options.max_rounds = mode == EngineMode::kAggregate ? 60 : 25;
+    call.options.mode = mode;
     std::optional<State> first_x;
     std::array<std::uint64_t, 4> first_rng{};
     for (const int row_threads : {1, 2, 4}) {
-      options.row_threads = row_threads;
+      call.options.row_threads = row_threads;
       Rng rng(5);
       State x = State::uniform_random(game, rng);
-      run_dynamics(game, x, protocol, rng, options, nullptr);
+      run_dynamics(game, x, protocol, rng, call);
       if (!first_x.has_value()) {
         first_x.emplace(std::move(x));
         first_rng = rng.state();
@@ -378,8 +439,8 @@ TEST(EngineOracle, RowThreadsByteIdenticalRunsBothModes) {
 TEST(EngineOracle, AsymmetricCheckpointKillResumeMatchesReferenceRun) {
   // Asymmetric persistence-level interchange: a BATCHED-kernel trial of
   // each asymmetric family checkpointed at round 9, killed, and resumed
-  // must bitwise-match the uninterrupted PER-PAIR reference trial —
-  // asymmetric snapshots carry no trace of which kernel wrote them.
+  // must bitwise-match the uninterrupted trial on the per-pair reference
+  // loop — asymmetric snapshots carry no trace of which kernel wrote them.
   for (const char* scenario : {"asymmetric", "multicommodity"}) {
     SCOPED_TRACE(scenario);
     sweep::ScenarioSpec spec;
@@ -390,17 +451,17 @@ TEST(EngineOracle, AsymmetricCheckpointKillResumeMatchesReferenceRun) {
     const std::int64_t total_rounds = 60;
 
     Rng reference_rng(seed);
-    const sweep::TrialOutcome reference = instance->run_trial(
-        protocol, family_dynamics(total_rounds, true), reference_rng);
+    const sweep::TrialOutcome reference = reference_trial(
+        *instance, protocol, family_dynamics(total_rounds), reference_rng);
 
     const std::string snap = ::testing::TempDir() + "/oracle_asym_" +
                              std::string(scenario) + ".snap";
     Rng killed_rng(seed);
-    instance->run_trial_checkpointed(protocol, family_dynamics(9, false),
+    instance->run_trial_checkpointed(protocol, family_dynamics(9),
                                      killed_rng,
                                      sweep::TrialCheckpoint{snap, 0});
     const sweep::TrialOutcome resumed = instance->resume_trial(
-        protocol, family_dynamics(total_rounds, false), snap);
+        protocol, family_dynamics(total_rounds), snap);
     EXPECT_EQ(resumed, reference);
     EXPECT_GT(reference.rounds, 9.0);  // the resumed leg did real work
     std::remove(snap.c_str());
@@ -410,8 +471,8 @@ TEST(EngineOracle, AsymmetricCheckpointKillResumeMatchesReferenceRun) {
 TEST(EngineOracle, BatchedCheckpointKillResumeMatchesReferenceRun) {
   // Persistence-level interchange: a batched trial checkpointed at round 9,
   // killed, and resumed (all on the batched kernel) must bitwise-match the
-  // uninterrupted run on the REFERENCE kernel — checkpoints carry no trace
-  // of which kernel wrote them.
+  // uninterrupted trial on the per-pair reference loop — checkpoints carry
+  // no trace of which kernel wrote them.
   sweep::ScenarioSpec spec;
   spec.name = "network-routing";
   const auto instance = sweep::make_scenario(spec, 1500);
@@ -420,17 +481,17 @@ TEST(EngineOracle, BatchedCheckpointKillResumeMatchesReferenceRun) {
   const std::int64_t total_rounds = 60;
 
   Rng reference_rng(seed);
-  const sweep::TrialOutcome reference = instance->run_trial(
-      protocol, family_dynamics(total_rounds, true), reference_rng);
+  const sweep::TrialOutcome reference = reference_trial(
+      *instance, protocol, family_dynamics(total_rounds), reference_rng);
 
   const std::string snap =
       ::testing::TempDir() + "/oracle_kill_resume.snap";
   Rng killed_rng(seed);
-  instance->run_trial_checkpointed(protocol, family_dynamics(9, false),
+  instance->run_trial_checkpointed(protocol, family_dynamics(9),
                                    killed_rng,
                                    sweep::TrialCheckpoint{snap, 0});
   const sweep::TrialOutcome resumed = instance->resume_trial(
-      protocol, family_dynamics(total_rounds, false), snap);
+      protocol, family_dynamics(total_rounds), snap);
   EXPECT_EQ(resumed, reference);
   EXPECT_GT(reference.rounds, 9.0);  // the resumed leg did real work
   std::remove(snap.c_str());

@@ -23,6 +23,12 @@ StopPredicate stable_stop() {
   };
 }
 
+StopPredicate nash_stop() {
+  return [](const CongestionGame& g, const State& s, std::int64_t) {
+    return is_nash(g, s);
+  };
+}
+
 TEST(Integration, ImitationReachesImitationStableOnSingleton) {
   const auto game = make_uniform_links_game(5, make_linear(1.0), 200);
   Rng rng(1);
@@ -33,8 +39,9 @@ TEST(Integration, ImitationReachesImitationStableOnSingleton) {
   const ImitationProtocol protocol;
   RunOptions opts;
   opts.max_rounds = 20000;
-  const RunResult rr = run_dynamics(game, x, protocol, rng, opts,
-                                    stable_stop());
+  const RunResult rr =
+      run_dynamics(game, x, protocol, rng,
+                   EngineInvocation{opts, stable_stop(), {}, {}});
   EXPECT_TRUE(rr.converged);
   EXPECT_TRUE(is_imitation_stable(game, x, game.nu()));
   // With ν=1 and identical linear links, stable means near-balanced.
@@ -55,11 +62,12 @@ TEST(Integration, ImitationReachesApproxEquilibriumOnBraess) {
   RunOptions opts;
   opts.max_rounds = 50000;
   const double eps = 0.1, delta = 0.1;
-  const RunResult rr = run_dynamics(
-      game, x, protocol, rng, opts,
-      [&](const CongestionGame& g, const State& s, std::int64_t) {
-        return is_delta_eps_equilibrium(g, s, delta, eps);
-      });
+  const StopPredicate stop = [&](const CongestionGame& g, const State& s,
+                                 std::int64_t) {
+    return is_delta_eps_equilibrium(g, s, delta, eps);
+  };
+  const RunResult rr = run_dynamics(game, x, protocol, rng,
+                                    EngineInvocation{opts, stop, {}, {}});
   EXPECT_TRUE(rr.converged);
 }
 
@@ -96,10 +104,7 @@ TEST(Integration, ExplorationConvergesToNashDespiteEmptyStart) {
   opts.max_rounds = 2000000;
   opts.check_interval = 16;
   const RunResult rr = run_dynamics(
-      game, x, protocol, rng, opts,
-      [](const CongestionGame& g, const State& s, std::int64_t) {
-        return is_nash(g, s);
-      });
+      game, x, protocol, rng, EngineInvocation{opts, nash_stop(), {}, {}});
   EXPECT_TRUE(rr.converged) << "exploration should find the unused link";
   EXPECT_GT(x.count(2), 0);
 }
@@ -115,10 +120,7 @@ TEST(Integration, CombinedProtocolConvergesToNash) {
   opts.max_rounds = 2000000;
   opts.check_interval = 16;
   const RunResult rr = run_dynamics(
-      game, x, protocol, rng, opts,
-      [](const CongestionGame& g, const State& s, std::int64_t) {
-        return is_nash(g, s);
-      });
+      game, x, protocol, rng, EngineInvocation{opts, nash_stop(), {}, {}});
   EXPECT_TRUE(rr.converged);
 }
 
@@ -133,7 +135,8 @@ TEST(Integration, ImitationAloneStabilizesWithoutDiscovering) {
   const ImitationProtocol protocol;
   RunOptions opts;
   opts.max_rounds = 5000;
-  run_dynamics(game, x, protocol, rng, opts, stable_stop());
+  run_dynamics(game, x, protocol, rng,
+               EngineInvocation{opts, stable_stop(), {}, {}});
   EXPECT_EQ(x.count(2), 0);
   EXPECT_FALSE(is_nash(game, x));
   EXPECT_TRUE(is_imitation_stable(game, x, game.nu()));
@@ -155,10 +158,7 @@ TEST(Integration, VirtualAgentImitationEscapesTheTrap) {
   opts.max_rounds = 500000;
   opts.check_interval = 16;
   const RunResult rr = run_dynamics(
-      game, x, protocol, rng, opts,
-      [](const CongestionGame& g, const State& s, std::int64_t) {
-        return is_nash(g, s);
-      });
+      game, x, protocol, rng, EngineInvocation{opts, nash_stop(), {}, {}});
   EXPECT_TRUE(rr.converged);
   EXPECT_GT(x.count(2), 0);
 }
@@ -172,7 +172,8 @@ TEST(Integration, LargePlayerCountRunsFastWithAggregateEngine) {
   const ImitationProtocol protocol;
   RunOptions opts;
   opts.max_rounds = 50;
-  const RunResult rr = run_dynamics(game, x, protocol, rng, opts, nullptr);
+  const RunResult rr = run_dynamics(game, x, protocol, rng,
+                                    EngineInvocation{opts, {}, {}, {}});
   EXPECT_EQ(rr.rounds, 50);
   x.check_consistent(game);
 }
@@ -195,13 +196,14 @@ TEST(Integration, NoExtinctionInLargeScaledSingleton) {
   RunOptions opts;
   opts.max_rounds = 400;
   bool extinct = false;
-  run_dynamics(game, x, protocol, rng, opts,
-               [&](const CongestionGame&, const State& s, std::int64_t) {
-                 for (StrategyId p = 0; p < 4; ++p) {
-                   if (s.count(p) == 0) extinct = true;
-                 }
-                 return extinct;
-               });
+  const StopPredicate stop = [&](const CongestionGame&, const State& s,
+                                 std::int64_t) {
+    for (StrategyId p = 0; p < 4; ++p) {
+      if (s.count(p) == 0) extinct = true;
+    }
+    return extinct;
+  };
+  run_dynamics(game, x, protocol, rng, EngineInvocation{opts, stop, {}, {}});
   EXPECT_FALSE(extinct);
 }
 

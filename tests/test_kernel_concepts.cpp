@@ -3,34 +3,30 @@
 // The engine redesign (protocols/kernel.hpp, dynamics/engine_kernel.hpp,
 // latency/kernel.hpp) must be invisible at the bit level. This suite pins:
 //
-//   1. concept level — every paper protocol's kernel models ProtocolKernel
-//      (and the virtual classes do NOT — the concept really separates the
-//      two interfaces); LatencyTable models LatencyKernel; the asymmetric
-//      imitation kernel models AsymmetricProtocolKernel;
+//   1. concept level — every paper protocol's kernel (and the test-only
+//      per-pair OracleKernel) models ProtocolKernel, and the Protocol
+//      handles do NOT — the concept really separates the two interfaces;
+//      LatencyTable models LatencyKernel; the asymmetric imitation kernel
+//      models AsymmetricProtocolKernel;
 //   2. dispatch level — dispatch_protocol_kernel resolves each concrete
-//      protocol to its monomorphized kernel, falls back to VirtualKernel
-//      for unrecognized protocols, and pins VirtualKernel under
-//      force_virtual;
+//      protocol to its monomorphized kernel and rejects an unrecognized
+//      protocol with an error naming it;
 //   3. latency level — LatencyTable::value reproduces every registered
 //      latency-function shape (constant, linear, affine, monomial,
 //      polynomial, scaled, and the opaque exponential fallback) bitwise at
 //      the integer loads the engines evaluate;
 //   4. row level — each monomorphized kernel's fill_row (one row body,
 //      over the singleton select and over the per-origin network ex-post
-//      table) is bitwise-identical to the virtual fill_move_probabilities
-//      row, sustained across incremental cache refreshes, every parameter
-//      variant, games of different size on one thread, and concurrent
-//      fills under row_threads > 1;
+//      table) is bitwise-identical to the per-pair oracle row
+//      (tests/protocol_oracle.hpp), sustained across incremental cache
+//      refreshes, every parameter variant, games of different size on one
+//      thread, and concurrent fills under row_threads > 1;
 //   5. round/run level — the templated draw_round<K> / run_dynamics<K>
-//      over the monomorphized kernel, the same templates over
-//      VirtualKernel, the type-erased Protocol frontend, and the per-pair
-//      reference oracle all produce identical Migration lists AND consume
+//      over the monomorphized kernel, the same templates over the
+//      OracleKernel, the type-erased Protocol frontend, and the per-pair
+//      reference round all produce identical Migration lists AND consume
 //      the RNG stream identically, including under row_threads ∈ {1,2,4};
-//   6. trial level — every registry scenario family is bitwise-invariant
-//      under EngineTuning::virtual_frontend, and checkpoints written by
-//      one frontend resume bitwise on the other;
-//   7. API level — the EngineInvocation entrypoint and the deprecated
-//      run_dynamics shims are interchangeable bit for bit.
+//   6. API level — EngineInvocation rejects two stop predicates.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -47,6 +43,7 @@
 #include "game/latency_context.hpp"
 #include "latency/kernel.hpp"
 #include "latency/latency.hpp"
+#include "protocol_oracle.hpp"
 #include "protocols/combined.hpp"
 #include "protocols/exploration.hpp"
 #include "protocols/imitation.hpp"
@@ -59,13 +56,12 @@ namespace {
 
 // ---- 1. Concept membership --------------------------------------------------
 
-static_assert(ProtocolKernel<VirtualKernel>);
 static_assert(ProtocolKernel<ImitationKernel>);
 static_assert(ProtocolKernel<ExplorationKernel>);
 static_assert(ProtocolKernel<CombinedKernel>);
-// The virtual classes expose fill_move_probabilities, not fill_row: the
-// concept genuinely separates the two interfaces instead of accepting
-// anything protocol-shaped.
+static_assert(ProtocolKernel<oracle::OracleKernel>);
+// The Protocol handles expose no fill_row: the concept genuinely separates
+// the two interfaces instead of accepting anything protocol-shaped.
 static_assert(!ProtocolKernel<ImitationProtocol>);
 static_assert(!ProtocolKernel<ExplorationProtocol>);
 static_assert(!ProtocolKernel<CombinedProtocol>);
@@ -81,11 +77,10 @@ static_assert(!AsymmetricProtocolKernel<ImitationKernel>);
 // ---- 2. Kernel dispatch -----------------------------------------------------
 
 template <typename Expected>
-bool dispatches_to(const Protocol& protocol, bool force_virtual) {
-  return dispatch_protocol_kernel(
-      protocol, force_virtual, [](const auto& kernel) {
-        return std::is_same_v<std::decay_t<decltype(kernel)>, Expected>;
-      });
+bool dispatches_to(const Protocol& protocol) {
+  return dispatch_protocol_kernel(protocol, [](const auto& kernel) {
+    return std::is_same_v<std::decay_t<decltype(kernel)>, Expected>;
+  });
 }
 
 TEST(KernelDispatch, ConcreteProtocolsGetMonomorphizedKernels) {
@@ -93,43 +88,30 @@ TEST(KernelDispatch, ConcreteProtocolsGetMonomorphizedKernels) {
   const ExplorationProtocol exploration;
   const CombinedProtocol combined{ImitationParams{}, ExplorationParams{},
                                   0.5};
-  EXPECT_TRUE(dispatches_to<ImitationKernel>(imitation, false));
-  EXPECT_TRUE(dispatches_to<ExplorationKernel>(exploration, false));
-  EXPECT_TRUE(dispatches_to<CombinedKernel>(combined, false));
+  EXPECT_TRUE(dispatches_to<ImitationKernel>(imitation));
+  EXPECT_TRUE(dispatches_to<ExplorationKernel>(exploration));
+  EXPECT_TRUE(dispatches_to<CombinedKernel>(combined));
+  EXPECT_EQ(ImitationKernel(imitation).name(), imitation.name());
 }
 
-TEST(KernelDispatch, ForceVirtualPinsTheAdapter) {
-  const ImitationProtocol imitation;
-  EXPECT_TRUE(dispatches_to<VirtualKernel>(imitation, true));
-  EXPECT_EQ(VirtualKernel(imitation).name(), imitation.name());
-}
-
-TEST(KernelDispatch, UnrecognizedProtocolFallsBackToVirtualKernel) {
-  // A protocol type the dispatch chain has never heard of must still run —
-  // correct immediately via the VirtualKernel adapter, no engine changes.
-  // (Wrapping rather than deriving: a subclass of ImitationProtocol would
-  // still be caught by the dynamic_cast chain.)
+TEST(KernelDispatch, UnrecognizedProtocolFailsNamingIt) {
+  // A Protocol subclass the dispatch chain has no kernel for cannot run:
+  // the engine entrypoints reject it with an error naming the protocol.
   class OpaqueProtocol final : public Protocol {
    public:
-    double move_probability(const CongestionGame& game, const State& x,
-                            StrategyId from, StrategyId to) const override {
-      return inner_.move_probability(game, x, from, to);
-    }
     std::string name() const override { return "opaque"; }
-
-   private:
-    ImitationProtocol inner_;
   };
   const OpaqueProtocol opaque;
-  EXPECT_TRUE(dispatches_to<VirtualKernel>(opaque, false));
-
-  // And the fallback actually runs: one round on a real game.
   const auto game = make_monomial_fan_game(8, 1.0, 1.0, 500);
   Rng rng(3);
-  State x = State::uniform_random(game, rng);
-  const RoundResult rr =
-      draw_round(game, x, opaque, rng, EngineMode::kAggregate);
-  EXPECT_GE(rr.movers, 0);
+  const State x = State::uniform_random(game, rng);
+  try {
+    draw_round(game, x, opaque, rng, EngineMode::kAggregate);
+    FAIL() << "dispatch accepted a protocol without a kernel";
+  } catch (const invariant_violation& e) {
+    EXPECT_NE(std::string(e.what()).find("'opaque'"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- 3. LatencyTable vs virtual latency functions ---------------------------
@@ -194,6 +176,7 @@ template <typename KernelT, typename ProtocolT>
 void expect_rows_match_protocol(const CongestionGame& game,
                                 const ProtocolT& protocol) {
   const KernelT kernel(protocol);
+  const oracle::OracleKernel per_pair(protocol);
   const auto k = static_cast<std::size_t>(game.num_strategies());
   Rng rng(41);
   State x = State::uniform_random(game, rng);
@@ -203,13 +186,13 @@ void expect_rows_match_protocol(const CongestionGame& game,
   ctx.reset(game, x);
   ApplyScratch scratch;
   std::vector<double> kernel_row(k);
-  std::vector<double> virtual_row(k);
+  std::vector<double> oracle_row(k);
   for (int round = 0; round < 20; ++round) {
     for (StrategyId from = 0; from < game.num_strategies(); ++from) {
       kernel.fill_row(game, ctx, from, kernel_row);
-      protocol.fill_move_probabilities(game, ctx, from, virtual_row);
+      per_pair.fill_row(game, ctx, from, oracle_row);
       for (std::size_t to = 0; to < k; ++to) {
-        ASSERT_EQ(kernel_row[to], virtual_row[to])
+        ASSERT_EQ(kernel_row[to], oracle_row[to])
             << "round " << round << " pair " << from << "->" << to;
       }
     }
@@ -223,9 +206,8 @@ void expect_rows_match_protocol(const CongestionGame& game,
   }
 }
 
-TEST(KernelRows, SingletonFastPathsMatchVirtualRows) {
-  // Singleton game: under CID_SIMD=ON this drives the vectorizable select
-  // loops; under =OFF the same assertions audit the delegating path.
+TEST(KernelRows, SingletonRowsMatchOracleRows) {
+  // Singleton game: drives the singleton ex-post select loops.
   const auto game = make_monomial_fan_game(16, 1.0, 2.0, 4000);
   ImitationParams virtual_params;
   virtual_params.virtual_agents = 2;
@@ -238,7 +220,7 @@ TEST(KernelRows, SingletonFastPathsMatchVirtualRows) {
       CombinedProtocol{ImitationParams{}, ExplorationParams{}, 0.5});
 }
 
-TEST(KernelRows, NetworkTableRowsMatchVirtualRowsBitwise) {
+TEST(KernelRows, NetworkTableRowsMatchOracleRowsBitwise) {
   const auto game = network_game_k8(1500);
   expect_rows_match_protocol<ImitationKernel>(game, ImitationProtocol());
   expect_rows_match_protocol<ExplorationKernel>(game, ExplorationProtocol());
@@ -261,7 +243,7 @@ CongestionGame network_game_k64(std::int64_t n) {
   return make_network_game(net, std::move(fns), n);
 }
 
-TEST(KernelRows, NetworkRowsMatchVirtualRowsForImitationParams) {
+TEST(KernelRows, NetworkRowsMatchOracleRowsForImitationParams) {
   const auto game = network_game_k8(1500);
   ImitationParams virtual_agents;
   virtual_agents.virtual_agents = 2;
@@ -283,7 +265,7 @@ TEST(KernelRows, NetworkRowsMatchVirtualRowsForImitationParams) {
   }
 }
 
-TEST(KernelRows, NetworkRowsMatchVirtualRowsForExplorationOverrides) {
+TEST(KernelRows, NetworkRowsMatchOracleRowsForExplorationOverrides) {
   const auto game = network_game_k8(1500);
   ExplorationParams beta;
   beta.beta_override = 0.75;
@@ -297,7 +279,7 @@ TEST(KernelRows, NetworkRowsMatchVirtualRowsForExplorationOverrides) {
   }
 }
 
-TEST(KernelRows, NetworkRowsMatchVirtualRowsForEveryExploreShare) {
+TEST(KernelRows, NetworkRowsMatchOracleRowsForEveryExploreShare) {
   const auto game = network_game_k8(1500);
   for (const double p_explore : {0.0, 0.5, 1.0}) {
     SCOPED_TRACE(p_explore);
@@ -307,7 +289,7 @@ TEST(KernelRows, NetworkRowsMatchVirtualRowsForEveryExploreShare) {
   }
 }
 
-TEST(KernelRows, NetworkRowsMatchVirtualRowsWithDecreasingLatency) {
+TEST(KernelRows, NetworkRowsMatchOracleRowsWithDecreasingLatency) {
   // One decreasing edge: ℓ_e(x_e+1) < ℓ_e(x_e) there, so the table mixes
   // ex-post values below the current ones and plus_dominates() is false
   // (no pruning shortcut hides a row).
@@ -345,6 +327,7 @@ TEST(KernelRows, OneKernelAlternatesBetweenNetworkGamesOfDifferentSize) {
   const CombinedProtocol protocol{ImitationParams{}, ExplorationParams{},
                                   0.5};
   const CombinedKernel kernel(protocol);
+  const oracle::OracleKernel per_pair(protocol);
   struct Side {
     const CongestionGame* game;
     State x;
@@ -355,7 +338,7 @@ TEST(KernelRows, OneKernelAlternatesBetweenNetworkGamesOfDifferentSize) {
                             Side{&large, State::uniform_random(large, rng), {}}};
   for (Side& side : sides) side.ctx.reset(*side.game, side.x);
   std::vector<double> kernel_row;
-  std::vector<double> virtual_row;
+  std::vector<double> oracle_row;
   for (int round = 0; round < 5; ++round) {
     for (StrategyId from = 0; from < large.num_strategies(); ++from) {
       for (Side& side : sides) {
@@ -363,11 +346,11 @@ TEST(KernelRows, OneKernelAlternatesBetweenNetworkGamesOfDifferentSize) {
         const StrategyId origin = from % game.num_strategies();
         const auto k = static_cast<std::size_t>(game.num_strategies());
         kernel_row.assign(k, -1.0);
-        virtual_row.assign(k, -2.0);
+        oracle_row.assign(k, -2.0);
         kernel.fill_row(game, side.ctx, origin, kernel_row);
-        protocol.fill_move_probabilities(game, side.ctx, origin, virtual_row);
+        per_pair.fill_row(game, side.ctx, origin, oracle_row);
         for (std::size_t to = 0; to < k; ++to) {
-          ASSERT_EQ(kernel_row[to], virtual_row[to])
+          ASSERT_EQ(kernel_row[to], oracle_row[to])
               << "m=" << game.num_resources() << " round " << round
               << " pair " << origin << "->" << to;
         }
@@ -390,21 +373,22 @@ void expect_parallel_rows_match_protocol(const CongestionGame& game,
                                          const ProtocolT& protocol,
                                          int row_threads) {
   const KernelT kernel(protocol);
+  const oracle::OracleKernel per_pair(protocol);
   const auto k = static_cast<std::size_t>(game.num_strategies());
   Rng rng(53);
   State x = State::uniform_random(game, rng);
   RoundWorkspace ws;
   RoundResult rr;
-  std::vector<double> virtual_row(k);
+  std::vector<double> oracle_row(k);
   for (int round = 0; round < 10; ++round) {
     engine_detail::prepare(game, x, ws);
     engine_detail::fill_rows_parallel(game, kernel, ws, /*prune=*/false,
                                       RowBounds{}, row_threads);
     for (std::size_t i = 0; i < ws.support.size(); ++i) {
       const StrategyId from = ws.support[i];
-      protocol.fill_move_probabilities(game, ws.ctx, from, virtual_row);
+      per_pair.fill_row(game, ws.ctx, from, oracle_row);
       for (std::size_t to = 0; to < k; ++to) {
-        ASSERT_EQ(ws.rows[i * k + to], virtual_row[to])
+        ASSERT_EQ(ws.rows[i * k + to], oracle_row[to])
             << "round " << round << " pair " << from << "->" << to;
       }
     }
@@ -415,7 +399,7 @@ void expect_parallel_rows_match_protocol(const CongestionGame& game,
   }
 }
 
-TEST(KernelRows, NetworkRowsUnderFourRowThreadsMatchVirtualRows) {
+TEST(KernelRows, NetworkRowsUnderFourRowThreadsMatchOracleRows) {
   // Four pool threads fill rows concurrently, each through its own ex-post
   // table.
   const auto game = network_game_k64(20000);
@@ -434,40 +418,40 @@ void expect_four_paths_identical(const CongestionGame& game,
                                  const ProtocolT& protocol, EngineMode mode,
                                  std::int64_t rounds, std::uint64_t seed) {
   const KernelT mono(protocol);
-  const VirtualKernel virt(protocol);
+  const oracle::OracleKernel per_pair(protocol);
   // Four independent (rng, state, workspace) tuples; only the path differs.
-  Rng mono_rng(seed), virt_rng(seed), front_rng(seed), oracle_rng(seed);
+  Rng mono_rng(seed), pair_rng(seed), front_rng(seed), oracle_rng(seed);
   State mono_x = State::uniform_random(game, mono_rng);
-  State virt_x = State::uniform_random(game, virt_rng);
+  State pair_x = State::uniform_random(game, pair_rng);
   State front_x = State::uniform_random(game, front_rng);
   State oracle_x = State::uniform_random(game, oracle_rng);
-  RoundWorkspace mono_ws, virt_ws, front_ws;
-  RoundResult mono_rr, virt_rr, front_rr;
+  RoundWorkspace mono_ws, pair_ws, front_ws;
+  RoundResult mono_rr, pair_rr, front_rr;
   for (std::int64_t round = 0; round < rounds; ++round) {
     draw_round(game, mono_x, mono, mono_rng, mode, mono_ws, mono_rr);
-    draw_round(game, virt_x, virt, virt_rng, mode, virt_ws, virt_rr);
+    draw_round(game, pair_x, per_pair, pair_rng, mode, pair_ws, pair_rr);
     draw_round(game, front_x, protocol, front_rng, mode, front_ws, front_rr);
-    const RoundResult oracle =
-        draw_round_reference(game, oracle_x, virt, oracle_rng, mode);
-    ASSERT_EQ(mono_rr.moves, virt_rr.moves) << "round " << round;
+    const RoundResult reference = oracle::draw_round_reference(
+        game, oracle_x, protocol, oracle_rng, mode);
+    ASSERT_EQ(mono_rr.moves, pair_rr.moves) << "round " << round;
     ASSERT_EQ(mono_rr.moves, front_rr.moves) << "round " << round;
-    ASSERT_EQ(mono_rr.moves, oracle.moves) << "round " << round;
-    ASSERT_EQ(mono_rr.movers, oracle.movers) << "round " << round;
-    ASSERT_EQ(mono_rng.state(), virt_rng.state()) << "round " << round;
+    ASSERT_EQ(mono_rr.moves, reference.moves) << "round " << round;
+    ASSERT_EQ(mono_rr.movers, reference.movers) << "round " << round;
+    ASSERT_EQ(mono_rng.state(), pair_rng.state()) << "round " << round;
     ASSERT_EQ(mono_rng.state(), front_rng.state()) << "round " << round;
     ASSERT_EQ(mono_rng.state(), oracle_rng.state()) << "round " << round;
     mono_x.apply(game, mono_rr.moves, mono_ws.apply_scratch);
     mono_ws.ctx.refresh(mono_ws.apply_scratch.touched);
-    virt_x.apply(game, virt_rr.moves, virt_ws.apply_scratch);
-    virt_ws.ctx.refresh(virt_ws.apply_scratch.touched);
+    pair_x.apply(game, pair_rr.moves, pair_ws.apply_scratch);
+    pair_ws.ctx.refresh(pair_ws.apply_scratch.touched);
     front_x.apply(game, front_rr.moves, front_ws.apply_scratch);
     front_ws.ctx.refresh(front_ws.apply_scratch.touched);
-    oracle_x.apply(game, oracle.moves);
+    oracle_x.apply(game, reference.moves);
     ASSERT_TRUE(mono_x == oracle_x) << "round " << round;
   }
 }
 
-TEST(KernelRounds, MonoVirtualFrontendOracleIdenticalSingleton) {
+TEST(KernelRounds, FourPathsIdenticalSingleton) {
   const auto game = make_monomial_fan_game(12, 1.0, 1.0, 5000);
   for (EngineMode mode :
        {EngineMode::kAggregate, EngineMode::kPerPlayer}) {
@@ -482,7 +466,7 @@ TEST(KernelRounds, MonoVirtualFrontendOracleIdenticalSingleton) {
   }
 }
 
-TEST(KernelRounds, MonoVirtualFrontendOracleIdenticalNetwork) {
+TEST(KernelRounds, FourPathsIdenticalNetwork) {
   const auto game = network_game_k8(3000);
   expect_four_paths_identical<ImitationKernel>(
       game, ImitationProtocol(), EngineMode::kAggregate, 40, 94);
@@ -491,7 +475,7 @@ TEST(KernelRounds, MonoVirtualFrontendOracleIdenticalNetwork) {
       EngineMode::kAggregate, 40, 95);
 }
 
-TEST(KernelRounds, MonoVirtualFrontendOracleIdenticalNetworkAllKernels) {
+TEST(KernelRounds, FourPathsIdenticalNetworkAllKernels) {
   const auto game = network_game_k8(3000);
   expect_four_paths_identical<ExplorationKernel>(
       game, ExplorationProtocol(), EngineMode::kAggregate, 40, 96);
@@ -556,142 +540,7 @@ TEST(KernelRuns, TemplatedRunMatchesFrontendRun) {
   EXPECT_EQ(kernel_rng.state(), front_rng.state());
 }
 
-// ---- 6. Trial-level virtual_frontend invariance -----------------------------
-
-struct FamilyCase {
-  const char* scenario;
-  std::int64_t n;
-  const char* protocol;
-  std::int64_t rounds;
-};
-
-const FamilyCase kFamilies[] = {
-    {"singleton-uniform", 2000, "imitation", 60},
-    {"load-balancing", 2000, "combined", 60},
-    {"network-routing", 1500, "exploration", 60},
-    {"asymmetric", 900, "imitation", 60},
-    {"multicommodity", 900, "imitation", 60},
-    {"threshold-lb", 12, "imitation", 4000},
-};
-
-sweep::DynamicsConfig family_dynamics(std::int64_t rounds,
-                                      bool virtual_frontend) {
-  sweep::DynamicsConfig dynamics;
-  dynamics.max_rounds = rounds;
-  dynamics.stop = sweep::StopRule::kNash;
-  dynamics.check_interval = 3;
-  dynamics.virtual_frontend = virtual_frontend;
-  return dynamics;
-}
-
-TEST(KernelTrials, AllSixFamiliesInvariantUnderVirtualFrontend) {
-  // virtual_frontend keeps the batched engine but swaps the monomorphized
-  // kernel for the VirtualKernel adapter — i.e. the exact pre-redesign
-  // path. Every family (and the RNG stream) must be unable to tell.
-  for (const FamilyCase& c : kFamilies) {
-    SCOPED_TRACE(c.scenario);
-    sweep::ScenarioSpec spec;
-    spec.name = c.scenario;
-    const auto instance = sweep::make_scenario(spec, c.n);
-    const auto protocol = sweep::parse_protocol_spec(c.protocol);
-    const std::uint64_t seed = 8642;
-
-    Rng mono_rng(seed);
-    const sweep::TrialOutcome mono = instance->run_trial(
-        protocol, family_dynamics(c.rounds, false), mono_rng);
-    Rng virt_rng(seed);
-    const sweep::TrialOutcome virt = instance->run_trial(
-        protocol, family_dynamics(c.rounds, true), virt_rng);
-    EXPECT_EQ(mono, virt);
-    EXPECT_EQ(mono_rng.state(), virt_rng.state());
-  }
-}
-
-TEST(KernelTrials, CheckpointsInterchangeableAcrossFrontends) {
-  // A monomorphized-kernel trial checkpointed at round 9, killed, and
-  // resumed on the VIRTUAL frontend must bitwise-match the uninterrupted
-  // monomorphized run — snapshots carry no trace of the kernel frontend.
-  sweep::ScenarioSpec spec;
-  spec.name = "network-routing";
-  const auto instance = sweep::make_scenario(spec, 1500);
-  const auto protocol = sweep::parse_protocol_spec("combined");
-  const std::uint64_t seed = 4242;
-  const std::int64_t total_rounds = 60;
-
-  Rng full_rng(seed);
-  const sweep::TrialOutcome uninterrupted = instance->run_trial(
-      protocol, family_dynamics(total_rounds, false), full_rng);
-
-  const std::string snap =
-      ::testing::TempDir() + "/kernel_frontend_interchange.snap";
-  Rng killed_rng(seed);
-  instance->run_trial_checkpointed(protocol, family_dynamics(9, false),
-                                   killed_rng,
-                                   sweep::TrialCheckpoint{snap, 0});
-  const sweep::TrialOutcome resumed = instance->resume_trial(
-      protocol, family_dynamics(total_rounds, true), snap);
-  EXPECT_EQ(resumed, uninterrupted);
-  EXPECT_GT(uninterrupted.rounds, 9.0);  // the resumed leg did real work
-  std::remove(snap.c_str());
-}
-
-// ---- 7. EngineInvocation vs deprecated shims --------------------------------
-
-TEST(EngineInvocationApi, MatchesStopPredicateShim) {
-  const auto game = make_monomial_fan_game(10, 1.0, 1.0, 8000);
-  const ImitationProtocol protocol;
-  RunOptions options;
-  options.max_rounds = 500;
-  options.check_interval = 5;
-  const StopPredicate stop = [](const CongestionGame&, const State&,
-                                std::int64_t round) { return round >= 85; };
-
-  Rng shim_rng(17);
-  State shim_x = State::uniform_random(game, shim_rng);
-  const RunResult via_shim =
-      run_dynamics(game, shim_x, protocol, shim_rng, options, stop);
-
-  EngineInvocation call;
-  call.options = options;
-  call.stop = stop;
-  Rng call_rng(17);
-  State call_x = State::uniform_random(game, call_rng);
-  const RunResult via_call =
-      run_dynamics(game, call_x, protocol, call_rng, call);
-
-  EXPECT_EQ(via_call.rounds, via_shim.rounds);
-  EXPECT_EQ(via_call.converged, via_shim.converged);
-  EXPECT_EQ(via_call.total_movers, via_shim.total_movers);
-  EXPECT_TRUE(call_x == shim_x);
-  EXPECT_EQ(call_rng.state(), shim_rng.state());
-  EXPECT_TRUE(via_call.converged);  // the predicate actually fired
-}
-
-TEST(EngineInvocationApi, MatchesNullptrShim) {
-  // The PR 5 nullptr_t disambiguator == an EngineInvocation with no stop.
-  const auto game = network_game_k8(1000);
-  const ExplorationProtocol protocol;
-  RunOptions options;
-  options.max_rounds = 40;
-
-  Rng shim_rng(19);
-  State shim_x = State::uniform_random(game, shim_rng);
-  const RunResult via_shim =
-      run_dynamics(game, shim_x, protocol, shim_rng, options, nullptr);
-
-  EngineInvocation call;
-  call.options = options;
-  Rng call_rng(19);
-  State call_x = State::uniform_random(game, call_rng);
-  const RunResult via_call =
-      run_dynamics(game, call_x, protocol, call_rng, call);
-
-  EXPECT_EQ(via_call.rounds, via_shim.rounds);
-  EXPECT_EQ(via_call.total_movers, via_shim.total_movers);
-  EXPECT_TRUE(call_x == shim_x);
-  EXPECT_EQ(call_rng.state(), shim_rng.state());
-  EXPECT_FALSE(via_call.converged);  // no predicate, ran to max_rounds
-}
+// ---- 6. EngineInvocation ----------------------------------------------------
 
 TEST(EngineInvocationApi, RejectsTwoStopPredicates) {
   const auto game = make_monomial_fan_game(4, 1.0, 1.0, 100);

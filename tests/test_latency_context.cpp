@@ -6,10 +6,11 @@
 //      equals a freshly reset one EXACTLY (double ==), entry for entry —
 //      the invariant the whole batched kernel leans on. Same property for
 //      the asymmetric context.
-//   2. Pruning soundness: every origin the protocols declare provably
-//      zero is re-verified nonzero-free by the per-pair reference
-//      move_probability oracle, across random states and all protocols
-//      (and the asymmetric pruning against asymmetric_move_probability).
+//   2. Pruning soundness: every origin the protocols' kernels declare
+//      provably zero is re-verified nonzero-free by the per-pair
+//      move_probability oracle (tests/protocol_oracle.hpp), across random
+//      states and all protocols (and the asymmetric pruning against
+//      oracle::asymmetric_move_probability).
 //   3. Monotonicity gate: with a DECREASING latency function in the game,
 //      plus_dominates() reports false and every row_provably_zero
 //      conservatively declines to prune.
@@ -29,6 +30,7 @@
 #include "game/asymmetric.hpp"
 #include "game/builders.hpp"
 #include "game/latency_context.hpp"
+#include "protocol_oracle.hpp"
 #include "protocols/combined.hpp"
 #include "protocols/exploration.hpp"
 #include "protocols/imitation.hpp"
@@ -206,6 +208,15 @@ std::vector<std::unique_ptr<Protocol>> pruning_protocols() {
   return protocols;
 }
 
+/// The pruning verdict of the kernel `protocol` dispatches to.
+bool row_provably_zero(const Protocol& protocol, const CongestionGame& game,
+                       const LatencyContext& ctx, StrategyId from,
+                       const RowBounds& bounds) {
+  return dispatch_protocol_kernel(protocol, [&](const auto& kernel) {
+    return kernel.row_provably_zero(game, ctx, from, bounds);
+  });
+}
+
 TEST(LatencyContext, PrunedRowsVerifiedZeroByReferenceOracle) {
   const auto protocols = pruning_protocols();
   int pruned_total = 0;
@@ -221,13 +232,14 @@ TEST(LatencyContext, PrunedRowsVerifiedZeroByReferenceOracle) {
       for (const auto& protocol : protocols) {
         SCOPED_TRACE(protocol->name());
         for (StrategyId from = 0; from < game.num_strategies(); ++from) {
-          if (!protocol->row_provably_zero(game, ctx, from, bounds)) {
+          if (!row_provably_zero(*protocol, game, ctx, from, bounds)) {
             continue;
           }
           ++pruned_total;
           for (StrategyId to = 0; to < game.num_strategies(); ++to) {
             if (to == from) continue;
-            ASSERT_EQ(protocol->move_probability(game, x, from, to), 0.0)
+            ASSERT_EQ(oracle::move_probability(*protocol, game, x, from, to),
+                      0.0)
                 << "pruned origin " << from << " has nonzero entry to "
                 << to;
           }
@@ -279,7 +291,7 @@ TEST(LatencyContext, DecreasingLatencyDisablesPruning) {
   for (const auto& protocol : pruning_protocols()) {
     SCOPED_TRACE(protocol->name());
     for (StrategyId p = 0; p < game.num_strategies(); ++p) {
-      EXPECT_FALSE(protocol->row_provably_zero(game, ctx, p, bounds));
+      EXPECT_FALSE(row_provably_zero(*protocol, game, ctx, p, bounds));
     }
   }
 }
@@ -380,7 +392,7 @@ TEST(AsymmetricLatencyContext, BatchedRowMatchesPerPairOracle) {
         const double oracle =
             support[j] == from
                 ? 0.0
-                : asymmetric_move_probability(game, x, params, c, from,
+                : oracle::asymmetric_move_probability(game, x, params, c, from,
                                               support[j]);
         ASSERT_EQ(row[j], oracle)
             << "class " << c << " pair " << from << "->" << support[j];

@@ -177,7 +177,8 @@ EngineRun run_engine(EngineMode mode, int row_threads,
   auto stop = [](const CongestionGame& g, const State& s, std::int64_t) {
     return is_imitation_stable(g, s, g.nu());
   };
-  const RunResult result = run_dynamics(game, x, protocol, rng, options, stop);
+  const RunResult result = run_dynamics(
+      game, x, protocol, rng, EngineInvocation{options, stop, {}, {}});
   return {result, std::move(x), rng.state()};
 }
 
@@ -221,7 +222,8 @@ TEST(MetricsCounters, UncappedRunCountsExactly) {
   // No stop predicate: exactly max_rounds rounds, zero stop checks —
   // every counter is hand-computable.
   const RunResult result =
-      run_dynamics(game, x, protocol, rng, options, nullptr);
+      run_dynamics(game, x, protocol, rng,
+                   EngineInvocation{options, {}, {}, {}});
   EXPECT_EQ(result.rounds, 25);
   EXPECT_FALSE(result.converged);
   if (obs::kMetricsCompiled) {

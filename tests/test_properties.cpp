@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "dynamics/engine.hpp"
+#include "protocol_oracle.hpp"
 #include "util/assert.hpp"
 #include "util/stats.hpp"
 #include "dynamics/equilibrium.hpp"
@@ -165,7 +166,7 @@ TEST_P(DynamicsProperties, MoveProbabilitiesFormASubdistribution) {
       double total = 0.0;
       for (StrategyId q = 0; q < game.num_strategies(); ++q) {
         if (q == p) continue;
-        const double prob = protocol->move_probability(game, x, p, q);
+        const double prob = oracle::move_probability(*protocol, game, x, p, q);
         ASSERT_GE(prob, 0.0);
         ASSERT_LE(prob, 1.0);
         total += prob;

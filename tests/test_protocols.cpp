@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "game/builders.hpp"
+#include "protocol_oracle.hpp"
 #include "protocols/combined.hpp"
 #include "protocols/exploration.hpp"
 #include "protocols/imitation.hpp"
@@ -21,12 +22,12 @@ TEST(ImitationProtocol, HandComputedProbability) {
   ImitationParams params;
   params.lambda = 0.25;
   const ImitationProtocol protocol(params);
-  const double mu = protocol.acceptance_probability(game, x, 0, 1);
+  const double mu = oracle::acceptance_probability(protocol, game, x, 0, 1);
   EXPECT_NEAR(mu, 0.25 * 3.0 / 7.0, 1e-12);
-  const double p = protocol.move_probability(game, x, 0, 1);
+  const double p = oracle::move_probability(protocol, game, x, 0, 1);
   EXPECT_NEAR(p, (3.0 / 9.0) * mu, 1e-12);
   // Reverse direction is not improving.
-  EXPECT_DOUBLE_EQ(protocol.move_probability(game, x, 1, 0), 0.0);
+  EXPECT_DOUBLE_EQ(oracle::move_probability(protocol, game, x, 1, 0), 0.0);
 }
 
 TEST(ImitationProtocol, NuCutoffSuppressesSmallGains) {
@@ -34,15 +35,16 @@ TEST(ImitationProtocol, NuCutoffSuppressesSmallGains) {
   const auto game = make_uniform_links_game(2, make_linear(1.0), 10);
   const State x(game, {6, 4});
   const ImitationProtocol with_nu;
-  EXPECT_DOUBLE_EQ(with_nu.move_probability(game, x, 0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(oracle::move_probability(with_nu, game, x, 0, 1), 0.0);
   // Dropping the cutoff (Theorem 9 regime) restores a strict-gain move...
   ImitationParams params;
   params.nu_cutoff = false;
   const ImitationProtocol without_nu(params);
-  EXPECT_GT(without_nu.move_probability(game, x, 0, 1), 0.0);
+  EXPECT_GT(oracle::move_probability(without_nu, game, x, 0, 1), 0.0);
   // ...but (5,5) has zero gain and still no move.
   const State balanced(game, {5, 5});
-  EXPECT_DOUBLE_EQ(without_nu.move_probability(game, balanced, 0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(
+      oracle::move_probability(without_nu, game, balanced, 0, 1), 0.0);
 }
 
 TEST(ImitationProtocol, DampingDividesByElasticity) {
@@ -54,8 +56,8 @@ TEST(ImitationProtocol, DampingDividesByElasticity) {
   ImitationParams undamped = damped;
   undamped.damping = false;
   const ImitationProtocol a(damped), b(undamped);
-  const double mu_damped = a.acceptance_probability(game, x, 0, 1);
-  const double mu_undamped = b.acceptance_probability(game, x, 0, 1);
+  const double mu_damped = oracle::acceptance_probability(a, game, x, 0, 1);
+  const double mu_undamped = oracle::acceptance_probability(b, game, x, 0, 1);
   ASSERT_GT(mu_damped, 0.0);
   EXPECT_NEAR(mu_undamped / mu_damped, 3.0, 1e-9);
 }
@@ -66,8 +68,8 @@ TEST(ImitationProtocol, SamplingConventions) {
   ImitationParams incl;
   incl.convention = SamplingConvention::kIncludeSelf;
   const ImitationProtocol p_excl, p_incl(incl);
-  const double ratio = p_excl.move_probability(game, x, 0, 1) /
-                       p_incl.move_probability(game, x, 0, 1);
+  const double ratio = oracle::move_probability(p_excl, game, x, 0, 1) /
+                       oracle::move_probability(p_incl, game, x, 0, 1);
   EXPECT_NEAR(ratio, 10.0 / 9.0, 1e-12);
 }
 
@@ -75,8 +77,8 @@ TEST(ImitationProtocol, CannotDiscoverUnusedStrategies) {
   const auto game = make_uniform_links_game(3, make_linear(1.0), 10);
   const State x(game, {10, 0, 0});
   const ImitationProtocol protocol;
-  EXPECT_DOUBLE_EQ(protocol.move_probability(game, x, 0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(protocol.move_probability(game, x, 0, 2), 0.0);
+  EXPECT_DOUBLE_EQ(oracle::move_probability(protocol, game, x, 0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(oracle::move_probability(protocol, game, x, 0, 2), 0.0);
 }
 
 TEST(ImitationProtocol, OverridesRespected) {
@@ -86,12 +88,12 @@ TEST(ImitationProtocol, OverridesRespected) {
   params.lambda = 0.25;
   params.nu_override = 100.0;  // kills every move
   const ImitationProtocol strict(params);
-  EXPECT_DOUBLE_EQ(strict.move_probability(game, x, 0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(oracle::move_probability(strict, game, x, 0, 1), 0.0);
   ImitationParams params2;
   params2.lambda = 0.25;
   params2.elasticity_override = 5.0;
   const ImitationProtocol damped5(params2);
-  EXPECT_NEAR(damped5.acceptance_probability(game, x, 0, 1),
+  EXPECT_NEAR(oracle::acceptance_probability(damped5, game, x, 0, 1),
               0.25 / 5.0 * 3.0 / 7.0, 1e-12);
 }
 
@@ -113,7 +115,7 @@ TEST(ImitationProtocol, SumOfMoveProbabilitiesAtMostOne) {
     for (StrategyId p : x.support()) {
       double total = 0.0;
       for (StrategyId q = 0; q < game.num_strategies(); ++q) {
-        if (q != p) total += protocol.move_probability(game, x, p, q);
+        if (q != p) total += oracle::move_probability(protocol, game, x, p, q);
       }
       EXPECT_LE(total, 1.0 + 1e-12);
     }
@@ -129,10 +131,10 @@ TEST(ImitationProtocol, VirtualAgentsRestoreInnovativeness) {
   params.virtual_agents = 1;
   params.nu_cutoff = false;
   const ImitationProtocol protocol(params);
-  const double p = protocol.move_probability(game, x, 0, 1);
+  const double p = oracle::move_probability(protocol, game, x, 0, 1);
   // Sampling: (0 + 1)/(12 − 1 + 3) = 1/14; gain (12 − 1)/12; λ/d = 1/4.
   EXPECT_NEAR(p, (1.0 / 14.0) * 0.25 * (11.0 / 12.0), 1e-12);
-  EXPECT_GT(protocol.move_probability(game, x, 0, 2), 0.0);
+  EXPECT_GT(oracle::move_probability(protocol, game, x, 0, 2), 0.0);
   EXPECT_THROW(ImitationProtocol([] {
                  ImitationParams bad;
                  bad.virtual_agents = -1;
@@ -156,7 +158,7 @@ TEST(ImitationProtocol, VirtualAgentsKeepProbabilitySumBounded) {
       if (x.count(p) == 0) continue;
       double total = 0.0;
       for (StrategyId q = 0; q < game.num_strategies(); ++q) {
-        if (q != p) total += protocol.move_probability(game, x, p, q);
+        if (q != p) total += oracle::move_probability(protocol, game, x, p, q);
       }
       EXPECT_LE(total, 1.0 + 1e-12);
     }
@@ -171,9 +173,9 @@ TEST(ExplorationProtocol, HandComputedProbability) {
   ExplorationParams params;
   params.lambda = 0.5;
   const ExplorationProtocol protocol(params);
-  EXPECT_NEAR(protocol.acceptance_probability(game, x, 0, 1),
+  EXPECT_NEAR(oracle::acceptance_probability(protocol, game, x, 0, 1),
               0.5 * 0.2 * 3.0 / 7.0, 1e-12);
-  EXPECT_NEAR(protocol.move_probability(game, x, 0, 1),
+  EXPECT_NEAR(oracle::move_probability(protocol, game, x, 0, 1),
               0.5 * 0.5 * 0.2 * 3.0 / 7.0, 1e-12);
 }
 
@@ -181,11 +183,11 @@ TEST(ExplorationProtocol, NoNuCutoffAndReachesEmptyStrategies) {
   const auto game = make_uniform_links_game(3, make_linear(1.0), 9);
   const State x(game, {9, 0, 0});
   const ExplorationProtocol protocol;
-  EXPECT_GT(protocol.move_probability(game, x, 0, 1), 0.0);
-  EXPECT_GT(protocol.move_probability(game, x, 0, 2), 0.0);
+  EXPECT_GT(oracle::move_probability(protocol, game, x, 0, 1), 0.0);
+  EXPECT_GT(oracle::move_probability(protocol, game, x, 0, 2), 0.0);
   // Tiny gains still move (no ν): x=(5,4): gain 5 - 5 = 0 → no; (6,3) gain 2.
   const State y(game, {6, 3, 0});
-  EXPECT_GT(protocol.move_probability(game, y, 0, 1), 0.0);
+  EXPECT_GT(oracle::move_probability(protocol, game, y, 0, 1), 0.0);
 }
 
 TEST(CombinedProtocol, MixtureOfMarginals) {
@@ -196,9 +198,9 @@ TEST(CombinedProtocol, MixtureOfMarginals) {
   const ImitationProtocol imit(ip);
   const ExplorationProtocol expl(ep);
   const CombinedProtocol combined(ip, ep, 0.25);
-  const double expect = 0.25 * expl.move_probability(game, x, 0, 1) +
-                        0.75 * imit.move_probability(game, x, 0, 1);
-  EXPECT_NEAR(combined.move_probability(game, x, 0, 1), expect, 1e-12);
+  const double expect = 0.25 * oracle::move_probability(expl, game, x, 0, 1) +
+                        0.75 * oracle::move_probability(imit, game, x, 0, 1);
+  EXPECT_NEAR(oracle::move_probability(combined, game, x, 0, 1), expect, 1e-12);
   EXPECT_THROW(CombinedProtocol(ip, ep, 1.5), invariant_violation);
 }
 

@@ -24,6 +24,7 @@
 #include "persist/checkpoint.hpp"
 #include "persist/eventlog.hpp"
 #include "persist/snapshot.hpp"
+#include "protocol_oracle.hpp"
 #include "protocols/imitation.hpp"
 #include "sweep/scenario.hpp"
 #include "util/rng.hpp"
@@ -115,8 +116,10 @@ EngineRun run_engine(EngineMode mode, int row_threads, bool telemetry) {
   };
   obs::TelemetryRecorder recorder(2);
   const RunResult result =
-      run_dynamics(game, x, protocol, rng, options, stop,
-                   telemetry ? recorder.observer() : RoundObserver{});
+      run_dynamics(game, x, protocol, rng,
+                   EngineInvocation{options, stop, {},
+                                    telemetry ? recorder.observer()
+                                              : RoundObserver{}});
   recorder.finish(result.converged);
   return {result, std::move(x), rng.state(), recorder.take_records()};
 }
@@ -205,11 +208,10 @@ TEST(TelemetryZeroPerturbation,
   const auto instance = sweep::make_scenario(spec, 48);
   sweep::ProtocolSpec protocol;
 
-  auto run = [&](bool reference_kernel, int row_threads) {
+  auto run = [&](int row_threads) {
     sweep::DynamicsConfig dynamics;
     dynamics.max_rounds = 300;
     dynamics.telemetry_every = 2;
-    dynamics.reference_kernel = reference_kernel;
     dynamics.row_threads = row_threads;
     sweep::TrialStats stats;
     Rng rng(21);
@@ -217,16 +219,32 @@ TEST(TelemetryZeroPerturbation,
     return stats.telemetry;
   };
 
-  // The reference per-pair oracle and the batched cached-latency kernel
-  // are bitwise-equivalent, and row fills are thread-count invariant —
-  // the telemetry series must inherit both properties exactly.
-  const auto baseline = run(false, 1);
+  // The same trial on the per-pair reference loop
+  // (tests/protocol_oracle.hpp) with the scenario's default stop rule
+  // (class-wise imitation stability) and protocol parameters.
+  auto reference = [&] {
+    const AsymmetricGame& game = *instance->asymmetric_game();
+    obs::TelemetryRecorder recorder(2);
+    Rng rng(21);
+    AsymmetricState x = AsymmetricState::uniform_random(game, rng);
+    const oracle::AsymmetricReferenceRun ran =
+        oracle::run_asymmetric_reference(game, x, AsymmetricImitationParams{},
+                                         rng, 300, 1, /*nash=*/false,
+                                         recorder.asymmetric_observer());
+    recorder.finish(ran.converged);
+    return recorder.take_records();
+  };
+
+  // The per-pair oracle and the batched cached-latency kernel are
+  // bitwise-equivalent, and row fills are thread-count invariant — the
+  // telemetry series must inherit both properties exactly.
+  const auto baseline = run(1);
   if (obs::kMetricsCompiled) {
     ASSERT_FALSE(baseline.empty());
   }
-  EXPECT_EQ(run(true, 1), baseline);
-  EXPECT_EQ(run(false, 2), baseline);
-  EXPECT_EQ(run(false, 4), baseline);
+  EXPECT_EQ(reference(), baseline);
+  EXPECT_EQ(run(2), baseline);
+  EXPECT_EQ(run(4), baseline);
 }
 
 // ---- Kill/resume concatenation ----------------------------------------------
@@ -317,8 +335,10 @@ TEST(TelemetryReplay, ReplayedSeriesIsByteIdenticalToLiveCapture) {
   {
     auto writer = persist::EventLogWriter::create(elog);
     result = run_dynamics(
-        game, x, protocol, rng, options, persist::stop_from_spec(config.stop),
-        persist::chain_observers(writer.observer(), live.observer()));
+        game, x, protocol, rng,
+        EngineInvocation{options, persist::stop_from_spec(config.stop), {},
+                         persist::chain_observers(writer.observer(),
+                                                  live.observer())});
     writer.close();
   }
   live.finish(result.converged);

@@ -231,6 +231,17 @@ Options parse_args(int argc, char** argv) {
   if (opt.trace_sample > 0 && opt.trace_path.empty()) {
     usage("--trace-sample requires --trace PATH");
   }
+  // A --save-state path whose directory does not exist would fail only
+  // after the whole run; reject it before round 1.
+  if (!opt.save_state_path.empty()) {
+    const std::filesystem::path dir =
+        std::filesystem::path(opt.save_state_path).parent_path();
+    std::error_code ec;
+    if (!dir.empty() && !std::filesystem::is_directory(dir, ec)) {
+      throw input_error("--save-state: directory '" + dir.string() +
+                        "' does not exist");
+    }
+  }
   // Parse (and, when compiled in, arm) the fault schedule so a bad spec
   // exits 2 like any other flag-value error; a -DCID_FAULTS=OFF build
   // still accepts and validates the flag, it just never fires.
@@ -436,16 +447,16 @@ int main(int argc, char** argv) {
       }
     }
 
-    RunOptions run_options;
-    run_options.max_rounds = opt.rounds;
-    run_options.mode = engine;
-    run_options.start_round = start_round;
-    run_options.row_threads = opt.row_threads;
-    if (metrics_sink != nullptr) run_options.metrics = &engine_metrics;
+    EngineInvocation call;
+    call.options.max_rounds = opt.rounds;
+    call.options.mode = engine;
+    call.options.start_round = start_round;
+    call.options.row_threads = opt.row_threads;
+    if (metrics_sink != nullptr) call.options.metrics = &engine_metrics;
+    call.cached_stop = persist::cached_stop_from_spec(config.stop);
+    call.observer = std::move(observer);
     const WallTimer run_timer;
-    const RunResult result =
-        run_dynamics(*game, *x, *protocol, rng, run_options,
-                     persist::cached_stop_from_spec(config.stop), observer);
+    const RunResult result = run_dynamics(*game, *x, *protocol, rng, call);
     const double run_seconds = run_timer.seconds();
     if (event_log.has_value()) event_log->close();
 
@@ -536,8 +547,8 @@ int main(int argc, char** argv) {
                   opt.trace_path.c_str(), events);
     }
   } catch (const input_error& e) {
-    // An unreadable --game or --start state: file: bad input, like a bad
-    // flag value.
+    // An unreadable or malformed --game or --start state: file, or an
+    // unwritable --save-state path: bad input, like a bad flag value.
     std::fprintf(stderr, "cid_sim: %s\n", e.what());
     return 2;
   } catch (const std::exception& e) {
