@@ -38,16 +38,6 @@ AsymmetricState skewed_start(const AsymmetricGame& game) {
   return AsymmetricState(game, std::move(counts));
 }
 
-/// One concurrent class-local round on the batched engine, applied. `ws`
-/// keeps the latency cache of one trajectory current across its rounds.
-void step(const AsymmetricGame& game, AsymmetricState& x,
-          const AsymmetricImitationParams& params, Rng& rng,
-          AsymmetricRoundWorkspace& ws, AsymmetricRoundResult& rr) {
-  draw_asymmetric_round(game, x, params, rng, ws, rr);
-  x.apply(game, rr.moves, ws.apply_scratch);
-  ws.ctx.refresh(ws.apply_scratch.touched);
-}
-
 }  // namespace
 
 int main() {
@@ -69,7 +59,7 @@ int main() {
       AsymmetricRoundWorkspace ws;
       AsymmetricRoundResult rr;
       for (int round = 0; round < 10; ++round) {
-        step(game, x, params, rng, ws, rr);
+        step_asymmetric_round(game, x, params, rng, ws, rr);
       }
       stat.add((game.potential(x) - phi0) / 10.0);
     }
@@ -99,7 +89,7 @@ int main() {
       std::int64_t round = 0;
       for (; round < 200000; ++round) {
         if (is_asymmetric_imitation_stable(game, x, game.nu())) break;
-        step(game, x, params, rng, ws, rr);
+        step_asymmetric_round(game, x, params, rng, ws, rr);
       }
       rounds_stat.add(static_cast<double>(round));
       l0 += game.class_average_latency(x, 0);

@@ -171,10 +171,8 @@ CellResult run_asymmetric_cell(const AsymmetricGame& game,
   AsymmetricRoundWorkspace ws;
   AsymmetricRoundResult rr;
   for (std::int64_t r = 0; r < rounds; ++r) {
-    draw_asymmetric_round(game, x, params, rng, ws, rr, /*row_threads=*/1,
+    step_asymmetric_round(game, x, params, rng, ws, rr, /*row_threads=*/1,
                           &metrics);
-    x.apply(game, rr.moves, ws.apply_scratch);
-    ws.ctx.refresh(ws.apply_scratch.touched);
     movers += rr.movers;
   }
   return finish_cell(timer, rounds, ws.ctx.latency_evals(), movers, metrics);

@@ -30,8 +30,6 @@ int main() {
 
   cid::Table table({"round", "potential", "class-0 L_av", "class-1 L_av",
                     "shared link load", "movers"});
-  // The batched class-local engine keeps its latency cache in `ws`: apply
-  // each round through ws.apply_scratch and refresh the touched resources.
   cid::AsymmetricRoundWorkspace ws;
   cid::AsymmetricRoundResult rr;
   std::int64_t round = 0;
@@ -48,9 +46,7 @@ int main() {
           .cell(movers_acc);
     }
     if (cid::is_asymmetric_imitation_stable(game, x, game.nu())) break;
-    cid::draw_asymmetric_round(game, x, params, rng, ws, rr);
-    x.apply(game, rr.moves, ws.apply_scratch);
-    ws.ctx.refresh(ws.apply_scratch.touched);
+    cid::step_asymmetric_round(game, x, params, rng, ws, rr);
     movers_acc += rr.movers;
   }
   table.print("two-commodity imitation dynamics (n = 3000 + 2000)");

@@ -173,6 +173,16 @@ void draw_asymmetric_round(const AsymmetricGame& game,
                         out, row_threads, metrics, trace);
 }
 
+void step_asymmetric_round(const AsymmetricGame& game, AsymmetricState& x,
+                           const AsymmetricImitationParams& params, Rng& rng,
+                           AsymmetricRoundWorkspace& ws,
+                           AsymmetricRoundResult& rr, int row_threads,
+                           obs::EngineMetrics* metrics) {
+  draw_asymmetric_round(game, x, params, rng, ws, rr, row_threads, metrics);
+  x.apply(game, rr.moves, ws.apply_scratch);
+  ws.ctx.refresh(ws.apply_scratch.touched);
+}
+
 bool is_asymmetric_imitation_stable(const AsymmetricLatencyContext& ctx,
                                     double nu) {
   CID_ENSURE(nu >= 0.0, "nu must be >= 0");

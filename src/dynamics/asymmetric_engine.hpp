@@ -22,6 +22,8 @@
 //     params-taking overload is the frontend the CLIs and scenario layer
 //     call (imitation is the only asymmetric protocol, so there is no
 //     dispatch chain here);
+//   * step_asymmetric_round — draw, apply and incremental cache refresh
+//     of one round, the asymmetric mirror of step_round;
 //   * cached overloads of the class-wise stop predicates.
 //
 // Bitwise contract: identical migrations and identical RNG stream to the
@@ -357,9 +359,10 @@ void draw_threaded(const AsymmetricGame& game, const AsymmetricState& x,
 /// Draws one concurrent class-local round (without applying it) on the
 /// batched kernel, monomorphized over any AsymmetricProtocolKernel. If
 /// ws.ready is false the cache is rebuilt from (game, x); callers stepping
-/// many rounds apply through x.apply(game, moves, ws.apply_scratch) and
-/// ws.ctx.refresh(touched). Output and RNG stream are bitwise invariant
-/// in row_threads.
+/// many rounds use step_asymmetric_round, or apply through
+/// x.apply(game, moves, ws.apply_scratch) and ws.ctx.refresh(touched)
+/// themselves. Output and RNG stream are bitwise invariant in
+/// row_threads.
 ///
 /// `metrics`, when non-null, accrues row-fill/draw phase times and rows
 /// filled/pruned — purely observational, zero RNG, bitwise-identical
@@ -406,6 +409,18 @@ void draw_asymmetric_round(const AsymmetricGame& game,
                            AsymmetricRoundResult& out, int row_threads = 1,
                            obs::EngineMetrics* metrics = nullptr,
                            bool trace = false);
+
+/// Draws and applies one class-local round on the batched kernel — the
+/// asymmetric mirror of step_round. The moves go through
+/// x.apply(game, moves, ws.apply_scratch) and the touched resources are
+/// refreshed in ws.ctx, so a loop of steps on one (game, x, ws) keeps the
+/// incremental cache current; `rr` receives what moved. `row_threads` and
+/// `metrics` are passed to the draw.
+void step_asymmetric_round(const AsymmetricGame& game, AsymmetricState& x,
+                           const AsymmetricImitationParams& params, Rng& rng,
+                           AsymmetricRoundWorkspace& ws,
+                           AsymmetricRoundResult& rr, int row_threads = 1,
+                           obs::EngineMetrics* metrics = nullptr);
 
 /// Cached overload of is_asymmetric_imitation_stable: reads every latency
 /// from the context (bitwise-identical verdicts; the context-free version

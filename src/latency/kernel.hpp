@@ -41,9 +41,9 @@
 
 namespace cid {
 
-/// Whether the devirtualized/SIMD fast paths are compiled in (CID_SIMD
-/// != 0). Hot paths branch on this `if constexpr`, so an =0 build strips
-/// them entirely and falls back to the virtual frontends.
+/// Whether latency evaluation goes through the LatencyTable (CID_SIMD
+/// != 0). The latency contexts branch on this `if constexpr`, so an =0
+/// build evaluates every ℓ_e through the virtual latency functions.
 inline constexpr bool kSimdCompiled = CID_SIMD != 0;
 
 /// Anything that can answer ℓ_e(x) for a dense resource index without

@@ -16,14 +16,6 @@ CombinedProtocol::CombinedProtocol(ImitationParams imitation,
              "p_explore must be in [0, 1]");
 }
 
-bool CombinedProtocol::row_provably_zero(const CongestionGame& game,
-                                         const LatencyContext& ctx,
-                                         StrategyId from,
-                                         const RowBounds& bounds) const {
-  return imitation_.row_provably_zero(game, ctx, from, bounds) &&
-         exploration_.row_provably_zero(game, ctx, from, bounds);
-}
-
 std::string CombinedProtocol::name() const {
   std::ostringstream os;
   os << "combined(p_explore=" << p_explore_ << ", " << imitation_.name()

@@ -17,12 +17,6 @@ class CombinedProtocol final : public Protocol {
   CombinedProtocol(ImitationParams imitation, ExplorationParams exploration,
                    double p_explore = 0.5);
 
-  /// A combined row entry is p·explore + (1−p)·imitate; it is provably
-  /// zero exactly when both sub-rows are (0.0·anything + anything·0.0
-  /// stays 0.0 for the finite sub-probabilities involved).
-  bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
-                         StrategyId from, const RowBounds& bounds) const;
-
   std::string name() const override;
 
   double p_explore() const noexcept { return p_explore_; }

@@ -18,17 +18,6 @@ ExplorationProtocol::ExplorationProtocol(ExplorationParams params)
   }
 }
 
-bool ExplorationProtocol::row_provably_zero(const CongestionGame& /*game*/,
-                                            const LatencyContext& ctx,
-                                            StrategyId from,
-                                            const RowBounds& bounds) const {
-  if (!bounds.plus_dominates) return false;
-  // Every destination's l_to >= ℓ_Q(x) >= min_latency, so the strict-
-  // improvement test !(l_from > l_to) fails row-wide and every entry is
-  // sample_prob * 0.0 == 0.0 exactly.
-  return !(ctx.strategy_latency(from) > bounds.min_latency);
-}
-
 std::string ExplorationProtocol::name() const {
   std::ostringstream os;
   os << "exploration(lambda=" << params_.lambda << ")";

@@ -32,12 +32,6 @@ class ExplorationProtocol final : public Protocol {
  public:
   explicit ExplorationProtocol(ExplorationParams params = {});
 
-  /// Exploration samples ALL strategies (including empty ones), so its row
-  /// is provably zero only when ℓ_P(x) <= min over every strategy of
-  /// ℓ_Q(x) and plus-dominance lifts that to the ex-post latencies.
-  bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
-                         StrategyId from, const RowBounds& bounds) const;
-
   std::string name() const override;
 
   const ExplorationParams& params() const noexcept { return params_; }

@@ -21,27 +21,6 @@ ImitationProtocol::ImitationProtocol(ImitationParams params)
              "virtual agent count must be >= 0");
 }
 
-double ImitationProtocol::effective_nu(const CongestionGame& game) const {
-  if (!params_.nu_cutoff) return 0.0;
-  return params_.nu_override.value_or(game.nu());
-}
-
-bool ImitationProtocol::row_provably_zero(const CongestionGame& game,
-                                          const LatencyContext& ctx,
-                                          StrategyId from,
-                                          const RowBounds& bounds) const {
-  if (!bounds.plus_dominates) return false;
-  // Every populated destination Q has l_to >= ℓ_Q(x) >= floor (bitwise:
-  // the ex-post merge sums per-resource values >= the ℓ_Q(x) terms in the
-  // same order, and IEEE rounding is monotone, so float summation
-  // preserves the dominance; adding the same nu keeps it). Then
-  // ℓ_P <= floor + ν implies the gain test !(l_from > l_to + nu) fails for
-  // every destination — exactly the zero case of the kernel row body.
-  const double floor = params_.virtual_agents > 0 ? bounds.min_latency
-                                                  : bounds.min_support_latency;
-  return !(ctx.strategy_latency(from) > floor + effective_nu(game));
-}
-
 std::string ImitationProtocol::name() const {
   std::ostringstream os;
   os << "imitation(lambda=" << params_.lambda;

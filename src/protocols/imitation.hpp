@@ -65,21 +65,11 @@ class ImitationProtocol final : public Protocol {
  public:
   explicit ImitationProtocol(ImitationParams params = {});
 
-  /// Imitation's row is all zero when no destination beats ℓ_P(x) by more
-  /// than ν: ℓ_Q(x+1_Q−1_P) >= ℓ_Q(x) (plus-dominance) makes
-  /// ℓ_P <= min ℓ_Q(x) + ν a proof. With virtual agents the sampling
-  /// reaches empty strategies, so the min runs over ALL strategies;
-  /// without, over the support only (empty targets are zeroed anyway).
-  bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
-                         StrategyId from, const RowBounds& bounds) const;
-
   std::string name() const override;
 
   const ImitationParams& params() const noexcept { return params_; }
 
  private:
-  double effective_nu(const CongestionGame& game) const;
-
   ImitationParams params_;
 };
 

@@ -118,19 +118,64 @@ inline std::vector<double>& expost_table_scratch() {
   return table;
 }
 
+/// Imitation's effective ν: the game's ν (or its override) under the ν
+/// cutoff, 0 without it. The row bodies and the zero proof both read it
+/// here, so the proof and the row it proves zero test the same gain.
+inline double imitation_nu(const ImitationParams& params,
+                           const CongestionGame& game) noexcept {
+  return params.nu_cutoff ? params.nu_override.value_or(game.nu()) : 0.0;
+}
+
+/// Imitation's row is all zero when no destination beats ℓ_P(x) by more
+/// than ν. Every populated destination Q has l_to >= ℓ_Q(x) >= floor
+/// under plus-dominance (bitwise: the ex-post sum adds per-resource values
+/// >= the ℓ_Q(x) terms in the same order, IEEE rounding is monotone, and
+/// adding the same ν keeps it), so ℓ_P <= floor + ν fails the gain test
+/// !(l_from > l_to + nu) for every destination. With virtual agents the
+/// sampling reaches empty strategies, so the floor is the min over ALL
+/// strategies; without, over the support only (empty targets are zeroed
+/// anyway).
+inline bool imitation_row_provably_zero(const ImitationParams& params,
+                                        const CongestionGame& game,
+                                        const LatencyContext& ctx,
+                                        StrategyId from,
+                                        const RowBounds& bounds) noexcept {
+  if (!bounds.plus_dominates) return false;
+  const double floor = params.virtual_agents > 0 ? bounds.min_latency
+                                                 : bounds.min_support_latency;
+  return !(ctx.strategy_latency(from) > floor + imitation_nu(params, game));
+}
+
+/// Exploration samples ALL strategies (empty ones included), so its row is
+/// zero when ℓ_P(x) <= min over every strategy of ℓ_Q(x) and
+/// plus-dominance lifts that to the ex-post latencies: the strict-
+/// improvement test !(l_from > l_to) then fails row-wide and every entry
+/// is sample_prob * 0.0 == 0.0 exactly.
+inline bool exploration_row_provably_zero(const LatencyContext& ctx,
+                                          StrategyId from,
+                                          const RowBounds& bounds) noexcept {
+  if (!bounds.plus_dominates) return false;
+  return !(ctx.strategy_latency(from) > bounds.min_latency);
+}
+
 /// The shared kernel surface: `Derived` supplies one row body per protocol
 /// formula, `fill_row_over(game, ctx, from, out, l_to)`, generic in the
 /// ex-post source `l_to(to)`, and fill_row instantiates it with the source
-/// that fits the game; row_provably_zero and name forward to the final
-/// protocol class (direct, devirtualized calls).
+/// that fits the game. `Derived` also writes its row_provably_zero next to
+/// its row body; name forwards to the protocol handle.
 template <typename ProtocolT, typename Derived>
 class RowKernel {
  public:
   explicit RowKernel(const ProtocolT& protocol) noexcept
       : protocol_(&protocol) {}
 
-  void fill_row(const CongestionGame& game, const LatencyContext& ctx,
-                StrategyId from, std::span<double> out) const {
+  // Kept out of line: inlined into the engines' round loops (gcc 12 does
+  // so once the engine translation unit has no other fill_row caller),
+  // the row body made the metered aggregate and per-player rounds of
+  // bench_engine_micro 3-12% slower in alternating pairs.
+  [[gnu::noinline]] void fill_row(const CongestionGame& game,
+                                  const LatencyContext& ctx, StrategyId from,
+                                  std::span<double> out) const {
     const auto& self = static_cast<const Derived&>(*this);
     const std::span<const Strategy> strategies = game.strategies();
     if (game.is_singleton()) {
@@ -145,10 +190,6 @@ class RowKernel {
           NetworkExpost{strategies,
                         ctx.expost_table(from, expost_table_scratch())});
     }
-  }
-  bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
-                         StrategyId from, const RowBounds& bounds) const {
-    return protocol_->row_provably_zero(game, ctx, from, bounds);
   }
   std::string name() const { return protocol_->name(); }
 
@@ -165,6 +206,12 @@ class ImitationKernel
     : public kernel_detail::RowKernel<ImitationProtocol, ImitationKernel> {
  public:
   using RowKernel::RowKernel;
+
+  bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
+                         StrategyId from, const RowBounds& bounds) const {
+    return kernel_detail::imitation_row_provably_zero(protocol_->params(),
+                                                      game, ctx, from, bounds);
+  }
 
  private:
   friend RowKernel;
@@ -183,8 +230,7 @@ class ImitationKernel
         game.num_players() + v * game.num_strategies() -
         (params.convention == SamplingConvention::kExcludeSelf ? 1 : 0);
     const double l_from = ctx.strategy_latency(from);
-    const double nu =
-        params.nu_cutoff ? params.nu_override.value_or(game.nu()) : 0.0;
+    const double nu = kernel_detail::imitation_nu(params, game);
     const double d =
         params.damping ? params.elasticity_override.value_or(game.elasticity())
                        : 1.0;
@@ -214,6 +260,12 @@ class ExplorationKernel
     : public kernel_detail::RowKernel<ExplorationProtocol, ExplorationKernel> {
  public:
   using RowKernel::RowKernel;
+
+  bool row_provably_zero(const CongestionGame& /*game*/,
+                         const LatencyContext& ctx, StrategyId from,
+                         const RowBounds& bounds) const {
+    return kernel_detail::exploration_row_provably_zero(ctx, from, bounds);
+  }
 
  private:
   friend RowKernel;
@@ -256,6 +308,16 @@ class CombinedKernel
  public:
   using RowKernel::RowKernel;
 
+  /// An entry is p·explore + (1−p)·imitate, so the row is zero when both
+  /// sub-rows are (0.0·anything + anything·0.0 stays 0.0 for the finite
+  /// sub-probabilities involved).
+  bool row_provably_zero(const CongestionGame& game, const LatencyContext& ctx,
+                         StrategyId from, const RowBounds& bounds) const {
+    return kernel_detail::imitation_row_provably_zero(
+               protocol_->imitation().params(), game, ctx, from, bounds) &&
+           kernel_detail::exploration_row_provably_zero(ctx, from, bounds);
+  }
+
  private:
   friend RowKernel;
 
@@ -280,7 +342,7 @@ class CombinedKernel
     const std::int64_t pool =
         game.num_players() + v * game.num_strategies() -
         (ip.convention == SamplingConvention::kExcludeSelf ? 1 : 0);
-    const double nu = ip.nu_cutoff ? ip.nu_override.value_or(game.nu()) : 0.0;
+    const double nu = kernel_detail::imitation_nu(ip, game);
     const double d =
         ip.damping ? ip.elasticity_override.value_or(game.elasticity()) : 1.0;
     const double i_lambda_over_d = ip.lambda / d;

@@ -102,9 +102,10 @@ enum class StopRule {
 /// engine, collect_metrics / telemetry_every are realized here (as a
 /// RunOptions::metrics pointer and a telemetry RoundObserver; both no-ops
 /// without a TrialStats or under CID_METRICS=0; threshold-lb runs
-/// sequential dynamics and ignores the engine hooks entirely). Every EngineTuning field is EXCLUDED from
-/// manifest grid fingerprints — only the six semantic fields below enter
-/// them — so flipping a tuning knob resumes an existing sweep.
+/// sequential dynamics and ignores the engine hooks entirely). Every
+/// EngineTuning field is EXCLUDED from manifest grid fingerprints — only
+/// the six semantic fields below enter them — so flipping a tuning knob
+/// resumes an existing sweep.
 struct DynamicsConfig : EngineTuning {
   std::int64_t max_rounds = 100'000;
   std::int64_t check_interval = 1;

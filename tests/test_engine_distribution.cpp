@@ -12,6 +12,7 @@
 #include "game/latency_context.hpp"
 #include "protocol_oracle.hpp"
 #include "protocols/imitation.hpp"
+#include "protocols/kernel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -134,8 +135,9 @@ TEST(EngineDistribution, PruningPreservesDistributionAndRngStream) {
     ctx.reset(game, x);
     const RowBounds bounds = compute_row_bounds(game, x, ctx);
     ASSERT_TRUE(bounds.plus_dominates);
-    EXPECT_TRUE(protocol.row_provably_zero(game, ctx, 2, bounds));
-    EXPECT_FALSE(protocol.row_provably_zero(game, ctx, 0, bounds));
+    const ImitationKernel kernel(protocol);
+    EXPECT_TRUE(kernel.row_provably_zero(game, ctx, 2, bounds));
+    EXPECT_FALSE(kernel.row_provably_zero(game, ctx, 0, bounds));
   }
 
   {  // (b) same seed ⇒ bitwise-equal rounds AND identical stream position

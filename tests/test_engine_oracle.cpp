@@ -262,9 +262,7 @@ TEST(EngineOracle, AsymmetricRowThreadsBitwiseInvariant) {
     AsymmetricRoundWorkspace ws;
     AsymmetricRoundResult rr;
     for (int round = 0; round < 40; ++round) {
-      draw_asymmetric_round(game, x, params, rng, ws, rr, row_threads);
-      x.apply(game, rr.moves, ws.apply_scratch);
-      ws.ctx.refresh(ws.apply_scratch.touched);
+      step_asymmetric_round(game, x, params, rng, ws, rr, row_threads);
     }
     finals.push_back(x.counts());
     rng_states.push_back(rng.state());

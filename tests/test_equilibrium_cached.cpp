@@ -238,9 +238,7 @@ void expect_asymmetric_match_along_trajectory(const AsymmetricGame& game,
   AsymmetricRoundWorkspace ws;
   AsymmetricRoundResult rr;
   for (int round = 0; round < rounds; ++round) {
-    draw_asymmetric_round(game, x, params, rng, ws, rr);
-    x.apply(game, rr.moves, ws.apply_scratch);
-    ws.ctx.refresh(ws.apply_scratch.touched);
+    step_asymmetric_round(game, x, params, rng, ws, rr);
     ASSERT_EQ(is_asymmetric_imitation_stable(ws.ctx, game.nu()),
               is_asymmetric_imitation_stable(game, x, game.nu()))
         << "round " << round;

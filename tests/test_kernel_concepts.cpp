@@ -188,12 +188,21 @@ void expect_rows_match_protocol(const CongestionGame& game,
   std::vector<double> kernel_row(k);
   std::vector<double> oracle_row(k);
   for (int round = 0; round < 20; ++round) {
+    const RowBounds bounds = compute_row_bounds(game, x, ctx);
     for (StrategyId from = 0; from < game.num_strategies(); ++from) {
       kernel.fill_row(game, ctx, from, kernel_row);
       per_pair.fill_row(game, ctx, from, oracle_row);
+      // The zero proof is sound only if the oracle row it skips is zero.
+      const bool proved_zero =
+          x.count(from) > 0 &&
+          kernel.row_provably_zero(game, ctx, from, bounds);
       for (std::size_t to = 0; to < k; ++to) {
         ASSERT_EQ(kernel_row[to], oracle_row[to])
             << "round " << round << " pair " << from << "->" << to;
+        if (proved_zero) {
+          ASSERT_EQ(oracle_row[to], 0.0)
+              << "round " << round << " pruned origin " << from;
+        }
       }
     }
     // Mutate through a real draw so later iterations audit refreshed
@@ -218,6 +227,46 @@ TEST(KernelRows, SingletonRowsMatchOracleRows) {
   expect_rows_match_protocol<CombinedKernel>(
       game,
       CombinedProtocol{ImitationParams{}, ExplorationParams{}, 0.5});
+}
+
+TEST(KernelRows, ZeroProofCountsEmptyStrategiesUnderVirtualAgents) {
+  // x = (5, 5, 0) on linear links: ℓ_P = 5 on the support, and the empty
+  // link's ex-post latency is 1. Virtual agents make that link reachable,
+  // so the rows out of the support are not zero and must not be proved
+  // zero by a floor taken over the support alone. Exploration's rows reach
+  // it too.
+  const auto game = make_uniform_links_game(3, make_linear(1.0), 10);
+  const State x(game, {5, 5, 0});
+  LatencyContext ctx;
+  ctx.reset(game, x);
+  const RowBounds bounds = compute_row_bounds(game, x, ctx);
+  ASSERT_TRUE(bounds.plus_dominates);
+  ImitationParams params;
+  params.virtual_agents = 1;
+  params.nu_cutoff = false;
+  const ImitationProtocol imitation(params);
+  const CombinedProtocol combined{params, ExplorationParams{}, 0.5};
+  const ExplorationProtocol exploration;
+  std::vector<double> row(3);
+  for (StrategyId from = 0; from < 2; ++from) {
+    oracle::OracleKernel(imitation).fill_row(game, ctx, from, row);
+    ASSERT_GT(row[2], 0.0);
+    EXPECT_FALSE(
+        ImitationKernel(imitation).row_provably_zero(game, ctx, from, bounds));
+    EXPECT_FALSE(
+        CombinedKernel(combined).row_provably_zero(game, ctx, from, bounds));
+    // Exploration samples every strategy, virtual agents or not.
+    EXPECT_FALSE(ExplorationKernel(exploration)
+                     .row_provably_zero(game, ctx, from, bounds));
+  }
+  // Without virtual agents the empty link is out of reach, the support is
+  // balanced, and both rows are provably zero.
+  params.virtual_agents = 0;
+  const ImitationProtocol plain(params);
+  for (StrategyId from = 0; from < 2; ++from) {
+    EXPECT_TRUE(
+        ImitationKernel(plain).row_provably_zero(game, ctx, from, bounds));
+  }
 }
 
 TEST(KernelRows, NetworkTableRowsMatchOracleRowsBitwise) {
@@ -251,7 +300,19 @@ TEST(KernelRows, NetworkRowsMatchOracleRowsForImitationParams) {
   no_nu.nu_cutoff = false;
   ImitationParams no_damping;
   no_damping.damping = false;
-  for (const ImitationParams& params : {virtual_agents, no_nu, no_damping}) {
+  // Overrides on both sides of the game's own ν and d, so a row body or
+  // zero proof that reads the game's value instead gives another row.
+  ImitationParams nu_below;
+  nu_below.nu_override = 0.25 * game.nu();
+  ImitationParams nu_above;
+  nu_above.nu_override = 2.0 * game.nu();
+  ImitationParams d_below;
+  d_below.elasticity_override = 1.0;
+  ImitationParams d_above;
+  d_above.elasticity_override = 2.0 * game.elasticity();
+  for (const ImitationParams& params : {virtual_agents, no_nu, no_damping,
+                                        nu_below, nu_above, d_below,
+                                        d_above}) {
     for (const SamplingConvention convention :
          {SamplingConvention::kExcludeSelf, SamplingConvention::kIncludeSelf}) {
       ImitationParams variant = params;

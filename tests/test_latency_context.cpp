@@ -34,6 +34,7 @@
 #include "protocols/combined.hpp"
 #include "protocols/exploration.hpp"
 #include "protocols/imitation.hpp"
+#include "protocols/kernel.hpp"
 #include "util/rng.hpp"
 
 namespace cid {
@@ -264,8 +265,9 @@ TEST(LatencyContext, SingletonConvergedStatePrunesMinimalOrigins) {
   const RowBounds bounds = compute_row_bounds(game, x, ctx);
   ASSERT_TRUE(bounds.plus_dominates);
   const ImitationProtocol imitation;
+  const ImitationKernel kernel(imitation);
   for (StrategyId p = 0; p < game.num_strategies(); ++p) {
-    EXPECT_TRUE(imitation.row_provably_zero(game, ctx, p, bounds));
+    EXPECT_TRUE(kernel.row_provably_zero(game, ctx, p, bounds));
   }
 }
 
